@@ -33,6 +33,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, NamedTuple, Sequence, Union
 
+from .core import _require_int
 from .errors import BoundaryUncertainError, InvalidParameterError
 from .intervals import Interval, ceil_of, compare_ge
 from .lattice import BUNDLED_TILINGS
@@ -73,15 +74,6 @@ class CriterionOutcome:
             "detail": self.detail,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CriterionOutcome":
-        return cls(
-            name=data["name"],
-            scope=data["scope"],
-            status=data["status"],
-            detail=data["detail"],
-        )
-
 
 @dataclass(frozen=True)
 class ClassificationReport:
@@ -103,18 +95,6 @@ class ClassificationReport:
             "witness": self.witness,
             "criteria": [c.to_json_dict() for c in self.criteria],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ClassificationReport":
-        return cls(
-            n=int(data["n"]),
-            e=int(data["e"]),
-            s=int(data["s"]),
-            verdict=data["verdict"],
-            lattice_excluded=bool(data["lattice_excluded"]),
-            witness=data.get("witness"),
-            criteria=tuple(CriterionOutcome.from_json_dict(c) for c in data["criteria"]),
-        )
 
 
 class TableRow(NamedTuple):
@@ -159,16 +139,6 @@ def ceil_log_ratio(base_num: int, base_den: int, x_num: int, x_den: int) -> int:
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
-
-
-def _validate_triple(n: int, e: int, s: int) -> None:
-    for name, value in (("n", n), ("e", e), ("s", s)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
-    if n < 1 or s < 1 or not 0 <= e <= n:
-        raise InvalidParameterError(
-            f"need n >= 1, s >= 1, 0 <= e <= n; got n={n}, e={e}, s={s}"
-        )
 
 
 def bound_prereq(n: int, e: int, s: int) -> CriterionOutcome:
@@ -461,7 +431,12 @@ def classify(n: int, e: int, s: int, strict: bool = False) -> ClassificationRepo
     Lattice-only exclusions never drive the verdict; they set the separate
     ``lattice_excluded`` flag.
     """
-    _validate_triple(n, e, s)
+    for name, value in (("n", n), ("e", e), ("s", s)):
+        _require_int(name, value)
+    if n < 1 or s < 1 or not 0 <= e <= n:
+        raise InvalidParameterError(
+            f"need n >= 1, s >= 1, 0 <= e <= n; got n={n}, e={e}, s={s}"
+        )
     criteria: list[CriterionOutcome] = [bound_prereq(n, e, s)]
     if s in (1, 2, 3):
         criteria.append(bound_small_s(n, e, s))
@@ -497,7 +472,6 @@ def classify_grid(
     e_values: Iterable[int],
     s_values: Iterable[int],
     strict: bool = False,
-    threads: int = 1,
 ) -> list[ClassificationReport]:
     """Classify every valid triple of the grid, sorted by (n, e, s)."""
     triples = sorted(
@@ -507,11 +481,6 @@ def classify_grid(
         for s in s_values
         if 0 <= e <= n
     )
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda t: classify(*t, strict=strict), triples))
     return [classify(n, e, s, strict=strict) for n, e, s in triples]
 
 
@@ -522,8 +491,7 @@ def packing_density_bound(n: int, e: int, s: int) -> DensityBound:
     information for a packing and are flagged vacuous.
     """
     for name, value in (("n", n), ("e", e), ("s", s)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+        _require_int(name, value)
     if n < 1 or s < 1 or e < 0:
         raise InvalidParameterError(f"need n >= 1, s >= 1, e >= 0; got n={n}, e={e}, s={s}")
     if e >= n:
@@ -541,8 +509,7 @@ def density_bound_asymptotic(regime: str, a: RationalLike, s: int) -> Fraction:
     a^2 / (s (a^2 - 2)); ``regime="linear"`` (errors growing like a*n,
     0 < a < 1) gives 1 / (s (1 - a)).
     """
-    if not isinstance(s, int) or s < 1:
-        raise InvalidParameterError(f"s must be an integer >= 1, got {s!r}")
+    _require_int("s", s, 1)
     aq = _as_fraction(a, "a")
     if regime == "sqrt":
         if aq * aq <= 2:

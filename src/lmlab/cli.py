@@ -13,9 +13,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -24,7 +22,7 @@ from .core import (
     DEFAULT_ENUM_CAP,
     BallParams,
     ball_volume,
-    enumerate_ball,
+    iter_ball_coords,
 )
 from .errors import InvalidParameterError, LmlabError
 from .lattice import (
@@ -52,28 +50,6 @@ from .search import (
     search_perfect_lattices,
     verify_window_packing,
 )
-
-THREADS_ENV = "LMLAB_THREADS"
-
-
-@dataclass
-class RunConfig:
-    """One parsed invocation: a single subcommand plus generic knobs."""
-
-    command: str
-    fmt: str
-    threads: int
-    expect: str | None
-    args: argparse.Namespace
-
-    def __post_init__(self) -> None:
-        for cap_name in ("enum_cap", "cell_cap", "pair_cap", "index_cap"):
-            cap = getattr(self.args, cap_name, None)
-            if cap is not None and cap < 1:
-                raise InvalidParameterError(f"--{cap_name.replace('_', '-')} must be positive")
-        if self.threads < 1:
-            raise InvalidParameterError("--threads must be positive")
-
 
 class Report:
     """Uniform handler output: JSON payload, text lines, optional CSV table."""
@@ -152,29 +128,29 @@ def _ball_params(args: argparse.Namespace) -> BallParams:
 # ---------------------------------------------------------------------------
 # handlers
 
-def _cmd_ball(cfg: RunConfig) -> Report:
-    volume = ball_volume(_ball_params(cfg.args))
+def _cmd_ball(args: argparse.Namespace) -> Report:
+    volume = ball_volume(_ball_params(args))
     return Report({"volume": str(volume)}, [str(volume)])
 
 
-def _cmd_enumerate(cfg: RunConfig) -> Report:
-    params = _ball_params(cfg.args)
-    vectors = [_vec_str(v.coords) for v in enumerate_ball(params, cfg.args.enum_cap)]
+def _cmd_enumerate(args: argparse.Namespace) -> Report:
+    params = _ball_params(args)
+    vectors = [_vec_str(v) for v in iter_ball_coords(params, args.enum_cap)]
     return Report({"count": str(len(vectors)), "vectors": vectors}, vectors)
 
 
-def _cmd_dist(cfg: RunConfig) -> Report:
-    x = _parse_vector(cfg.args.x, "--x")
-    y = _parse_vector(cfg.args.y, "--y")
-    d = channel_distance(x, y, cfg.args.s)
+def _cmd_dist(args: argparse.Namespace) -> Report:
+    x = _parse_vector(args.x, "--x")
+    y = _parse_vector(args.y, "--y")
+    d = channel_distance(x, y, args.s)
     return Report({"distance": str(d)}, [str(d)])
 
 
-def _cmd_verify_lattice(cfg: RunConfig) -> Report:
-    params = _ball_params(cfg.args)
-    lat = Lattice.from_text(cfg.args.gen)
-    verify = verify_lattice_tiling if cfg.args.mode == "tiling" else verify_lattice_packing
-    result = verify(lat, params, cfg.args.enum_cap)
+def _cmd_verify_lattice(args: argparse.Namespace) -> Report:
+    params = _ball_params(args)
+    lat = Lattice.from_text(args.gen)
+    verify = verify_lattice_tiling if args.mode == "tiling" else verify_lattice_packing
+    result = verify(lat, params, args.enum_cap)
     text = [result.verdict, f"volume={result.volume} index={result.index}"]
     if result.witness is not None:
         a, b = result.witness
@@ -182,10 +158,10 @@ def _cmd_verify_lattice(cfg: RunConfig) -> Report:
     return Report(result.to_json_dict(), text, actual=result.verdict)
 
 
-def _cmd_verify_window(cfg: RunConfig) -> Report:
-    params = _ball_params(cfg.args)
-    translates = _parse_vectors(cfg.args.translates, "--translates")
-    ok, witness = verify_window_packing(translates, params, cfg.args.window, cfg.args.cell_cap)
+def _cmd_verify_window(args: argparse.Namespace) -> Report:
+    params = _ball_params(args)
+    translates = _parse_vectors(args.translates, "--translates")
+    ok, witness = verify_window_packing(translates, params, args.window, args.cell_cap)
     actual = "disjoint" if ok else "overlap"
     text = [actual]
     if witness is not None:
@@ -194,32 +170,30 @@ def _cmd_verify_window(cfg: RunConfig) -> Report:
     return Report(payload, text, actual=actual)
 
 
-def _cmd_density(cfg: RunConfig) -> Report:
-    params = _ball_params(cfg.args)
-    if cfg.args.gen is not None:
-        subject = Lattice.from_text(cfg.args.gen)
-        if cfg.args.window is None:
+def _cmd_density(args: argparse.Namespace) -> Report:
+    params = _ball_params(args)
+    if args.gen is not None:
+        subject = Lattice.from_text(args.gen)
+        if args.window is None:
             value = lattice_density(subject, params)
             mode = "exact"
         else:
-            value = estimate_density(subject, params, cfg.args.window, cfg.args.enum_cap)
+            value = estimate_density(subject, params, args.window, args.enum_cap)
             mode = "window"
     else:
-        if cfg.args.translates is None:
+        if args.translates is None:
             raise InvalidParameterError("density needs --gen or --translates")
-        if cfg.args.window is None:
+        if args.window is None:
             raise InvalidParameterError("translate-set density needs --window")
-        translates = _parse_vectors(cfg.args.translates, "--translates")
-        value = estimate_density(translates, params, cfg.args.window, cfg.args.enum_cap)
+        translates = _parse_vectors(args.translates, "--translates")
+        value = estimate_density(translates, params, args.window, args.enum_cap)
         mode = "window"
     return Report({"density": _frac_str(value), "mode": mode}, [_frac_str(value)])
 
 
-def _cmd_search(cfg: RunConfig) -> Report:
-    params = _ball_params(cfg.args)
-    found = search_perfect_lattices(
-        params, cfg.args.index_cap, cfg.args.enum_cap, threads=cfg.threads
-    )
+def _cmd_search(args: argparse.Namespace) -> Report:
+    params = _ball_params(args)
+    found = search_perfect_lattices(params, args.index_cap, args.enum_cap)
     texts = [lat.to_text() for lat in found]
     # JSON form is the bare array of lattice text strings.
     return Report(texts, texts)
@@ -238,18 +212,17 @@ def _classify_text(report: bounds.ClassificationReport) -> list[str]:
     return lines
 
 
-def _cmd_classify(cfg: RunConfig) -> Report:
-    report = bounds.classify(cfg.args.n, cfg.args.e, cfg.args.s, strict=cfg.args.strict)
+def _cmd_classify(args: argparse.Namespace) -> Report:
+    report = bounds.classify(args.n, args.e, args.s, strict=args.strict)
     return Report(report.to_json_dict(), _classify_text(report), actual=report.verdict)
 
 
-def _cmd_classify_range(cfg: RunConfig) -> Report:
+def _cmd_classify_range(args: argparse.Namespace) -> Report:
     reports = bounds.classify_grid(
-        _parse_range(cfg.args.n, "--n"),
-        _parse_range(cfg.args.e, "--e"),
-        _parse_range(cfg.args.s, "--s"),
-        strict=cfg.args.strict,
-        threads=cfg.threads,
+        _parse_range(args.n, "--n"),
+        _parse_range(args.e, "--e"),
+        _parse_range(args.s, "--s"),
+        strict=args.strict,
     )
     header = ["n", "e", "s", "verdict", "lattice_excluded", "criteria"]
     rows = []
@@ -264,19 +237,19 @@ def _cmd_classify_range(cfg: RunConfig) -> Report:
     return Report(payload, text, table=(header, rows))
 
 
-def _cmd_density_bound(cfg: RunConfig) -> Report:
-    if cfg.args.regime is not None:
-        if cfg.args.a is None:
+def _cmd_density_bound(args: argparse.Namespace) -> Report:
+    if args.regime is not None:
+        if args.a is None:
             raise InvalidParameterError("asymptotic density bound needs --a")
         value = bounds.density_bound_asymptotic(
-            cfg.args.regime, _parse_fraction(cfg.args.a, "--a"), cfg.args.s
+            args.regime, _parse_fraction(args.a, "--a"), args.s
         )
         return Report(
-            {"regime": cfg.args.regime, "value": _frac_str(value)}, [_frac_str(value)]
+            {"regime": args.regime, "value": _frac_str(value)}, [_frac_str(value)]
         )
-    if cfg.args.n is None or cfg.args.e is None:
+    if args.n is None or args.e is None:
         raise InvalidParameterError("finite density bound needs --n and --e (or --regime)")
-    bound = bounds.packing_density_bound(cfg.args.n, cfg.args.e, cfg.args.s)
+    bound = bounds.packing_density_bound(args.n, args.e, args.s)
     if not bound.applicable:
         return Report(
             {"applicable": False, "value": None, "vacuous": False}, ["not-applicable"]
@@ -286,13 +259,13 @@ def _cmd_density_bound(cfg: RunConfig) -> Report:
     return Report(payload, [text])
 
 
-def _cmd_qp_check(cfg: RunConfig) -> Report:
-    s, big_k, a = cfg.args.s, cfg.args.K, cfg.args.a
+def _cmd_qp_check(args: argparse.Namespace) -> Report:
+    s, big_k, a = args.s, args.K, args.a
     payload: dict = {"s": str(s), "K": str(big_k), "a": str(a)}
     text: list[str] = []
     checks: list[bool] = []
 
-    oracle_value, oracle_dist = continuous_oracle_search(s, big_k, a, cfg.args.resolution)
+    oracle_value, oracle_dist = continuous_oracle_search(s, big_k, a, args.resolution)
     payload["oracle"] = f"{oracle_value:.9f}"
     text.append(f"oracle={payload['oracle']}")
 
@@ -328,26 +301,26 @@ def _cmd_qp_check(cfg: RunConfig) -> Report:
     return Report(payload, text, actual="ok" if ok else "fail")
 
 
-def _cmd_table(cfg: RunConfig) -> Report:
-    eps = _parse_fraction(cfg.args.epsilon, "--epsilon")
-    row = bounds.table_row(cfg.args.s, eps)
+def _cmd_table(args: argparse.Namespace) -> Report:
+    eps = _parse_fraction(args.epsilon, "--epsilon")
+    row = bounds.table_row(args.s, eps)
     coeff = _coeff_str(row.coefficient)
     payload = {
-        "s": str(cfg.args.s),
+        "s": str(args.s),
         "epsilon": _frac_str(eps),
         "min_n": str(row.min_n),
         "coefficient": coeff,
     }
     table = (
         ["s", "epsilon", "min_n", "coefficient"],
-        [[str(cfg.args.s), _frac_str(eps), str(row.min_n), coeff]],
+        [[str(args.s), _frac_str(eps), str(row.min_n), coeff]],
     )
     return Report(payload, [f"{row.min_n}, {coeff}"], table=table)
 
 
-def _cmd_equivalence_check(cfg: RunConfig) -> Report:
+def _cmd_equivalence_check(args: argparse.Namespace) -> Report:
     equal, witness = difference_set_equivalence(
-        cfg.args.n, cfg.args.t, cfg.args.s, cfg.args.pair_cap
+        args.n, args.t, args.s, args.pair_cap
     )
     actual = "equal" if equal else "unequal"
     text = [actual]
@@ -357,7 +330,7 @@ def _cmd_equivalence_check(cfg: RunConfig) -> Report:
     return Report(payload, text, actual=actual)
 
 
-_HANDLERS: dict[str, Callable[[RunConfig], Report]] = {
+_HANDLERS: dict[str, Callable[[argparse.Namespace], Report]] = {
     "ball": _cmd_ball,
     "enumerate": _cmd_enumerate,
     "dist": _cmd_dist,
@@ -376,7 +349,6 @@ _HANDLERS: dict[str, Callable[[RunConfig], Report]] = {
 
 def _add_common(parser: argparse.ArgumentParser, default_format: str = "text") -> None:
     parser.add_argument("--format", choices=("text", "json", "csv"), default=default_format)
-    parser.add_argument("--threads", type=int, default=None, help=f"defaults to ${THREADS_ENV} or 1")
 
 
 def _add_ball_flags(parser: argparse.ArgumentParser) -> None:
@@ -506,24 +478,19 @@ def _emit(report: Report, fmt: str) -> None:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "1") or "1")
     try:
-        cfg = RunConfig(
-            command=args.command,
-            fmt=args.format,
-            threads=threads,
-            expect=getattr(args, "expect", None),
-            args=args,
-        )
-        report = _HANDLERS[args.command](cfg)
-        _emit(report, cfg.fmt)
+        for cap_name in ("enum_cap", "cell_cap", "pair_cap", "index_cap"):
+            cap = getattr(args, cap_name, None)
+            if cap is not None and cap < 1:
+                raise InvalidParameterError(f"--{cap_name.replace('_', '-')} must be positive")
+        report = _HANDLERS[args.command](args)
+        _emit(report, args.format)
     except LmlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if cfg.expect is not None and report.actual != cfg.expect:
-        print(f"expected {cfg.expect}, got {report.actual}", file=sys.stderr)
+    expect = getattr(args, "expect", None)
+    if expect is not None and report.actual != expect:
+        print(f"expected {expect}, got {report.actual}", file=sys.stderr)
         return 1
     return 0
 

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import (
     CapExceededError,
-    DimensionMismatchError,
     HypothesesUnmetError,
     InvalidParameterError,
 )
@@ -31,9 +30,12 @@ from .errors import (
 DEFAULT_ENUM_CAP = 10**7
 
 
-def _require_int(name: str, value: object) -> int:
+def _require_int(name: str, value: object, minimum: int | None = None) -> int:
+    """The package's one integer check; bools are not integers here."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise InvalidParameterError(f"{name} must be >= {minimum}, got {value}")
     return value
 
 
@@ -69,20 +71,8 @@ class BallParams:
     @classmethod
     def symmetric(cls, n: int, e: int, s: int) -> "BallParams":
         """The symmetric ball with magnitude bound ``s`` in both directions."""
-        _require_int("s", s)
-        if s < 1:
-            raise InvalidParameterError(f"magnitude s must be >= 1, got {s}")
+        _require_int("s", s, 1)
         return cls(n=n, e=e, kplus=s, kminus=s)
-
-    @property
-    def is_symmetric(self) -> bool:
-        return self.kplus == self.kminus
-
-    @property
-    def s(self) -> int:
-        if not self.is_symmetric:
-            raise InvalidParameterError("ball is not symmetric; s is undefined")
-        return self.kplus
 
     @property
     def span(self) -> int:
@@ -99,15 +89,6 @@ class IntVector:
     def __post_init__(self) -> None:
         object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
 
-    @property
-    def weight(self) -> int:
-        """Hamming weight: the number of nonzero coordinates."""
-        return sum(1 for c in self.coords if c)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, c in enumerate(self.coords) if c)
-
     def __len__(self) -> int:
         return len(self.coords)
 
@@ -116,21 +97,6 @@ class IntVector:
 
     def __getitem__(self, i: int) -> int:
         return self.coords[i]
-
-    def __neg__(self) -> "IntVector":
-        return IntVector(tuple(-c for c in self.coords))
-
-    def __add__(self, other: "IntVector | Sequence[int]") -> "IntVector":
-        oc = tuple(other)
-        if len(oc) != len(self.coords):
-            raise DimensionMismatchError(f"cannot add vectors of length {len(self.coords)} and {len(oc)}")
-        return IntVector(tuple(a + b for a, b in zip(self.coords, oc)))
-
-    def __sub__(self, other: "IntVector | Sequence[int]") -> "IntVector":
-        oc = tuple(other)
-        if len(oc) != len(self.coords):
-            raise DimensionMismatchError(f"cannot subtract vectors of length {len(self.coords)} and {len(oc)}")
-        return IntVector(tuple(a - b for a, b in zip(self.coords, oc)))
 
 
 @dataclass(frozen=True)
@@ -145,12 +111,6 @@ class PairWeightMatrix:
     s: int
     entries: tuple[tuple[int, ...], ...]
 
-    def entry(self, x: int, y: int) -> int:
-        s = self.s
-        if not (-s <= x <= s and -s <= y <= s):
-            raise InvalidParameterError(f"symbols must lie in [-{s}, {s}], got ({x}, {y})")
-        return self.entries[x + s][y + s]
-
 
 def ball_volume(params: BallParams) -> int:
     """Exact number of vectors in the ball: sum of C(n,i) * (kplus+kminus)^i."""
@@ -159,11 +119,7 @@ def ball_volume(params: BallParams) -> int:
 
 
 def iter_ball_coords(params: BallParams, cap: int = DEFAULT_ENUM_CAP) -> Iterator[tuple[int, ...]]:
-    """Yield each ball vector once, as a raw tuple, in lexicographic order.
-
-    Fast path shared by the verifiers; ``enumerate_ball`` wraps the same
-    stream in :class:`IntVector`.
-    """
+    """Yield each ball vector once, as a raw tuple, in lexicographic order."""
     volume = ball_volume(params)
     if volume > cap:
         raise CapExceededError(f"ball volume {volume} exceeds the enumeration cap {cap}")
@@ -183,18 +139,10 @@ def iter_ball_coords(params: BallParams, cap: int = DEFAULT_ENUM_CAP) -> Iterato
     return rec((), params.e, 0)
 
 
-def enumerate_ball(params: BallParams, cap: int = DEFAULT_ENUM_CAP) -> Iterator[IntVector]:
-    """Stream the ball in lexicographic coordinate order (restartable)."""
-    for coords in iter_ball_coords(params, cap):
-        yield IntVector(coords)
-
-
 @lru_cache(maxsize=64)
 def pair_weight_matrix(s: int) -> PairWeightMatrix:
     """The (2s+1) x (2s+1) symbol-pair weight matrix."""
-    _require_int("s", s)
-    if s < 1:
-        raise InvalidParameterError(f"magnitude s must be >= 1, got {s}")
+    _require_int("s", s, 1)
 
     def weight(x: int, y: int) -> int:
         d = abs(x - y)

@@ -244,10 +244,6 @@ class QuotientMap:
         self._diag = diag
         self._cols = [tuple(v[i][j] for i in range(n)) for j in range(n)]
 
-    @property
-    def group_orders(self) -> tuple[int, ...]:
-        return self._diag
-
     def residue(self, vec: IntVector | Sequence[int]) -> tuple[int, ...]:
         w = vec.coords if isinstance(vec, IntVector) else tuple(vec)
         if len(w) != self._n:
@@ -274,10 +270,6 @@ class VerificationResult:
     index: int
     witness: tuple[IntVector, IntVector] | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict != VERDICT_FAILS
-
     def to_json_dict(self) -> dict:
         return {
             "verdict": self.verdict,
@@ -287,28 +279,6 @@ class VerificationResult:
             if self.witness is None
             else [",".join(map(str, w.coords)) for w in self.witness],
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "VerificationResult":
-        witness = data.get("witness")
-        pair = None
-        if witness is not None:
-            a, b = witness
-            pair = (
-                IntVector(tuple(int(x) for x in a.split(","))),
-                IntVector(tuple(int(x) for x in b.split(","))),
-            )
-        return cls(
-            verdict=data["verdict"],
-            volume=int(data["volume"]),
-            index=int(data["index"]),
-            witness=pair,
-        )
-
-
-def lattice_determinant(lattice: Lattice) -> int:
-    """Exact |det| of the generator matrix; equals the group index |Z^n / L|."""
-    return lattice.det_abs
 
 
 def verify_lattice_packing(

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import BallParams, IntVector, ball_volume, iter_ball_coords
+from .core import BallParams, IntVector, _require_int, ball_volume, iter_ball_coords
 from .errors import (
     CapExceededError,
     DimensionMismatchError,
@@ -73,8 +73,7 @@ class Code:
 
 def channel_distance(x: IntVector | Sequence[int], y: IntVector | Sequence[int], s: int) -> int:
     """Channel distance between ``x`` and ``y`` for magnitude bound ``s``."""
-    if not isinstance(s, int) or s < 1:
-        raise InvalidParameterError(f"magnitude s must be an integer >= 1, got {s!r}")
+    _require_int("s", s, 1)
     xs, ys = _coords(x), _coords(y)
     if len(xs) != len(ys):
         raise DimensionMismatchError(f"vector lengths differ: {len(xs)} vs {len(ys)}")
@@ -115,8 +114,8 @@ def is_e_correcting(
     ``method="disjointness"`` explicitly intersects the translated error
     balls.  The two must agree; the test suite exercises that equivalence.
     """
-    if not isinstance(e, int) or not 0 <= e <= code.n:
-        raise InvalidParameterError(f"need 0 <= e <= n, got e={e!r}, n={code.n}")
+    if _require_int("e", e, 0) > code.n:
+        raise InvalidParameterError(f"need 0 <= e <= n, got e={e}, n={code.n}")
     if method not in ("distance", "disjointness"):
         raise InvalidParameterError(
             f"unknown method {method!r}; use 'distance' or 'disjointness'"
@@ -126,20 +125,37 @@ def is_e_correcting(
     if method == "distance":
         return min_distance(code, s) >= 2 * e + 1
     params = BallParams.symmetric(code.n, e, s)
-    total = ball_volume(params) * len(code)
+    centers = [w.coords for w in code.words]
+    # A window reaching every ball cell turns the windowed check into a full one.
+    window = max(abs(c) for w in centers for c in w) + s
+    return _first_overlap(centers, params, window, cap) is None
+
+
+def _first_overlap(
+    centers: list[tuple[int, ...]], params: BallParams, window: int, cap: int
+) -> tuple[int, ...] | None:
+    """First cell of [-window, window]^n covered by balls around two distinct centers.
+
+    Places the balls cell by cell, in center order and then ball order, and
+    returns ``None`` when no window cell is covered twice.  Pure Python and
+    independent of the quotient-group machinery, on purpose: it is the
+    brute-force oracle the lattice verdicts are checked against.
+    """
+    total = len(centers) * ball_volume(params)
     if total > cap:
-        raise CapExceededError(f"disjointness check needs {total} cells, cap is {cap}")
+        raise CapExceededError(f"ball placement needs {total} cells, cap is {cap}")
     ball = list(iter_ball_coords(params, cap))
     occupied: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for w in code.words:
-        wc = w.coords
+    for t in centers:
         for b in ball:
-            cell = tuple(a + d for a, d in zip(wc, b))
+            cell = tuple(a + d for a, d in zip(t, b))
+            if any(abs(c) > window for c in cell):
+                continue
             owner = occupied.get(cell)
-            if owner is not None and owner != wc:
-                return False
-            occupied[cell] = wc
-    return True
+            if owner is not None and owner != t:
+                return cell
+            occupied[cell] = t
+    return None
 
 
 def difference_set_equivalence(

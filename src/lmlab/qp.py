@@ -23,12 +23,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import comb
 
-import numpy as np
-
-from .core import pair_weight_matrix
+from .core import _require_int, pair_weight_matrix
 from .errors import (
+    CapExceededError,
     HypothesesUnmetError,
     InvalidParameterError,
     PreconditionViolatedError,
@@ -43,6 +42,9 @@ ASCENT_ROUNDS = 200
 
 #: Exhaustive integer-composition mode is meant for small codeword counts.
 MAX_EXHAUSTIVE_K = 12
+#: Largest simplex grid the continuous oracle materialises (s = 6 at the
+#: default resolution needs 1,352,078 points, s = 7 needs 5,200,300).
+MAX_GRID_POINTS = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -53,8 +55,7 @@ class SymbolDistribution:
     counts: tuple
 
     def __post_init__(self) -> None:
-        if not isinstance(self.s, int) or self.s < 1:
-            raise InvalidParameterError(f"magnitude s must be an integer >= 1, got {self.s!r}")
+        _require_int("s", self.s, 1)
         counts = tuple(self.counts)
         if len(counts) != 2 * self.s + 1:
             raise InvalidParameterError(
@@ -63,31 +64,6 @@ class SymbolDistribution:
         if any(c < 0 for c in counts):
             raise InvalidParameterError(f"counts must be nonnegative, got {counts}")
         object.__setattr__(self, "counts", counts)
-
-    def count_at(self, x: int):
-        if not -self.s <= x <= self.s:
-            raise InvalidParameterError(f"symbol {x} outside [-{self.s}, {self.s}]")
-        return self.counts[x + self.s]
-
-    @property
-    def total(self):
-        return sum(self.counts)
-
-    @property
-    def nonzero_mass(self):
-        """Mass on nonzero symbols (the quantity the maxima are stated in)."""
-        return self.total - self.counts[self.s]
-
-    @property
-    def negative_mass(self):
-        return sum(self.counts[: self.s])
-
-    @property
-    def positive_mass(self):
-        return sum(self.counts[self.s + 1 :])
-
-    def mirrored(self) -> "SymbolDistribution":
-        return SymbolDistribution(self.s, tuple(reversed(self.counts)))
 
 
 def form_value(dist: SymbolDistribution):
@@ -168,6 +144,13 @@ def _grid_best(s: int, resolution: int) -> tuple[int, tuple[int, ...]]:
     cached = _GRID_CACHE.get(key)
     if cached is not None:
         return cached
+    points = comb(resolution + 2 * s - 1, 2 * s - 1)
+    if points > MAX_GRID_POINTS:
+        raise CapExceededError(
+            f"the s={s} grid at resolution {resolution} has {points} points, cap is {MAX_GRID_POINTS}"
+        )
+    import numpy as np  # the only numpy user: keeps it out of CLI startup
+
     block = np.array(_nonzero_block(s), dtype=np.int64)
     comps = np.array(list(_compositions(resolution, 2 * s)), dtype=np.int64)
     values = np.einsum("ij,jk,ik->i", comps, block, comps)
@@ -188,8 +171,7 @@ def continuous_oracle_search(
     mass moves with geometrically shrinking step.  Returns the best value
     found and the distribution attaining it.
     """
-    if not isinstance(s, int) or s < 1:
-        raise InvalidParameterError(f"magnitude s must be an integer >= 1, got {s!r}")
+    _require_int("s", s, 1)
     kq, aq = _validate_mass(s, K, a)
     kf, af = float(kq), float(aq)
     zero_count = kf - af
@@ -198,8 +180,7 @@ def continuous_oracle_search(
         return 0.0, dist
     if resolution is None:
         resolution = DEFAULT_RESOLUTION.get(s, FALLBACK_RESOLUTION)
-    if resolution < 1:
-        raise InvalidParameterError(f"resolution must be >= 1, got {resolution}")
+    _require_int("resolution", resolution, 1)
 
     _, seed = _grid_best(s, resolution)
     m = 2 * s
@@ -242,15 +223,10 @@ def continuous_oracle_search(
     return float(form_value(dist)), dist
 
 
-def form_max_oracle_continuous(s: int, K, a, resolution: int | None = None) -> float:
-    """Best form value found by the continuous grid-plus-ascent oracle."""
-    return continuous_oracle_search(s, K, a, resolution)[0]
-
-
 def form_max_exhaustive_integer(s: int, K: int, a: int) -> tuple[int, SymbolDistribution]:
     """Exact maximum over integer count vectors (small K only)."""
-    if not (isinstance(K, int) and isinstance(a, int)):
-        raise InvalidParameterError("exhaustive integer mode needs integer K and a")
+    _require_int("K", K)
+    _require_int("a", a)
     if K > MAX_EXHAUSTIVE_K:
         raise InvalidParameterError(
             f"exhaustive integer mode is limited to K <= {MAX_EXHAUSTIVE_K}, got K={K}"
@@ -272,10 +248,9 @@ def form_max_oracle_binary(s: int, K: int, a: int) -> int:
     Scans all C(2s, a) ways of placing a ones on the nonzero symbols, with
     the remaining K - a codewords on the zero symbol.  Exact integers.
     """
-    if not isinstance(s, int) or s < 1:
-        raise InvalidParameterError(f"magnitude s must be an integer >= 1, got {s!r}")
-    if not (isinstance(a, int) and isinstance(K, int)):
-        raise InvalidParameterError("binary oracle needs integer K and a")
+    _require_int("s", s, 1)
+    _require_int("K", K)
+    _require_int("a", a)
     if not 0 <= a <= 2 * s:
         raise InvalidParameterError(f"need 0 <= a <= 2s, got a={a}, s={s}")
     if K < a:
@@ -302,8 +277,7 @@ def form_envelope(x, K, s: int) -> Fraction:
     -(1/2) x^2 + (2K - 1) x            for x <  s;
     the two branches agree at x = s.
     """
-    if not isinstance(s, int) or s < 1:
-        raise InvalidParameterError(f"magnitude s must be an integer >= 1, got {s!r}")
+    _require_int("s", s, 1)
     kq = Fraction(K)
     if kq < 1:
         raise InvalidParameterError(f"need K >= 1, got K={K}")
@@ -324,8 +298,7 @@ def avg_distance_bound(n: int, e: int, K: int, s: int, variant: str = "first") -
     2(K+s)(e+1)/(K-1) - 3K(e+1)^2/(2(K-1)n) - n(s^2+s)/(K(K-1)).
     """
     for name, value in (("n", n), ("e", e), ("K", K), ("s", s)):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
+        _require_int(name, value)
     if n < 1 or e < 0 or s < 1:
         raise InvalidParameterError(f"need n >= 1, e >= 0, s >= 1; got n={n}, e={e}, s={s}")
     if K < 2:

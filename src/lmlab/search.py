@@ -15,14 +15,14 @@ verdicts.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .core import (
+from .core import (  # noqa: F401  (perfbench/tests asserts search.iter_ball_coords is bound)
     DEFAULT_ENUM_CAP,
     BallParams,
     IntVector,
+    _require_int,
     ball_volume,
     iter_ball_coords,
 )
@@ -33,7 +33,7 @@ from .lattice import (
     QuotientMap,
     verify_lattice_tiling,
 )
-from .metric import DEFAULT_CELL_CAP
+from .metric import DEFAULT_CELL_CAP, _first_overlap
 
 #: Largest sublattice index the exhaustive enumeration will accept.
 DEFAULT_INDEX_CAP = 10**4
@@ -72,12 +72,11 @@ def enumerate_sublattices(
     [0, d_j); diagonals ascend lexicographically, then the off-diagonal
     entries read row by row.
     """
-    if not isinstance(n, int) or not 1 <= n <= MAX_SEARCH_DIMENSION:
+    if not 1 <= _require_int("n", n) <= MAX_SEARCH_DIMENSION:
         raise InvalidParameterError(
-            f"sublattice enumeration supports 1 <= n <= {MAX_SEARCH_DIMENSION}, got {n!r}"
+            f"sublattice enumeration supports 1 <= n <= {MAX_SEARCH_DIMENSION}, got {n}"
         )
-    if not isinstance(index, int) or index < 1:
-        raise InvalidParameterError(f"index must be a positive integer, got {index!r}")
+    _require_int("index", index, 1)
     if index > index_cap:
         raise CapExceededError(f"index {index} exceeds the enumeration cap {index_cap}")
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -96,26 +95,19 @@ def search_perfect_lattices(
     params: BallParams,
     index_cap: int = DEFAULT_INDEX_CAP,
     cap: int = DEFAULT_ENUM_CAP,
-    threads: int = 1,
 ) -> list[Lattice]:
     """All HNF lattices of index |ball| whose translates tile Z^n by the ball.
 
     The candidate set is exhaustive, so the returned list is the complete
     collection of perfect lattice codes for these parameters (one canonical
-    generator per lattice), sorted canonically regardless of worker count.
+    generator per lattice), sorted canonically.
     """
     index = ball_volume(params)
-    candidates = list(enumerate_sublattices(params.n, index, index_cap))
-
-    def tiles(lattice: Lattice) -> bool:
-        return verify_lattice_tiling(lattice, params, cap).verdict == VERDICT_TILES
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            verdicts = list(pool.map(tiles, candidates))
-    else:
-        verdicts = [tiles(c) for c in candidates]
-    found = [c for c, ok in zip(candidates, verdicts) if ok]
+    found = [
+        lattice
+        for lattice in enumerate_sublattices(params.n, index, index_cap)
+        if verify_lattice_tiling(lattice, params, cap).verdict == VERDICT_TILES
+    ]
     found.sort(key=lambda lat: lat.gen)
     return found
 
@@ -146,24 +138,9 @@ def verify_window_packing(
     two balls share a window cell, otherwise ``(False, cell)`` with an
     overlapping cell as witness.
     """
-    if not isinstance(window, int) or window < 0:
-        raise InvalidParameterError(f"window must be a nonnegative integer, got {window!r}")
-    points = _normalize_translates(translates, params.n)
-    total = len(points) * ball_volume(params)
-    if total > cap:
-        raise CapExceededError(f"window check needs {total} cells, cap is {cap}")
-    ball = list(iter_ball_coords(params, cap))
-    occupied: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for t in points:
-        for b in ball:
-            cell = tuple(a + d for a, d in zip(t, b))
-            if any(abs(c) > window for c in cell):
-                continue
-            owner = occupied.get(cell)
-            if owner is not None and owner != t:
-                return False, IntVector(cell)
-            occupied[cell] = t
-    return True, None
+    _require_int("window", window, 0)
+    cell = _first_overlap(_normalize_translates(translates, params.n), params, window, cap)
+    return (True, None) if cell is None else (False, IntVector(cell))
 
 
 def lattice_points_in_window(
@@ -198,8 +175,7 @@ def estimate_density(
     ``((2W-2k+1)/(2W+1))^n`` and ``((2W+2k+1)/(2W+1))^n``, a 1 + O(1/W)
     window.  Counts and the final ratio are exact rationals.
     """
-    if not isinstance(window, int) or window < 0:
-        raise InvalidParameterError(f"window must be a nonnegative integer, got {window!r}")
+    _require_int("window", window, 0)
     if isinstance(subject, Lattice):
         if subject.n != params.n:
             raise DimensionMismatchError(

@@ -5,7 +5,6 @@ import pytest
 
 from lmlab import (
     BUNDLED_TILINGS,
-    ClassificationReport,
     InvalidParameterError,
     bound_asymptotic,
     bound_large_s,
@@ -280,11 +279,6 @@ class TestClassify:
         with pytest.raises(InvalidParameterError):
             classify(3, 4, 1)
 
-    def test_json_round_trip(self):
-        for args in [(2, 1, 1), (100, 40, 4), (4, 2, 15), (1000, 200, 1)]:
-            report = classify(*args)
-            assert ClassificationReport.from_json_dict(report.to_json_dict()) == report
-
 
 class TestClassifyGrid:
     def test_grid_is_sorted_and_complete(self):
@@ -296,10 +290,6 @@ class TestClassifyGrid:
     def test_invalid_triples_are_dropped(self):
         reports = classify_grid([2], range(0, 9), [1])
         assert [(r.n, r.e) for r in reports] == [(2, 0), (2, 1), (2, 2)]
-
-    def test_threads_do_not_change_result(self):
-        grid = (range(3, 8), range(0, 4), range(1, 3))
-        assert classify_grid(*grid, threads=4) == classify_grid(*grid)
 
 
 class TestPackingDensityBound:

@@ -11,9 +11,15 @@ from lmlab import (
     IntVector,
     InvalidParameterError,
     ball_volume,
+    channel_distance,
+    classify,
+    density_bound_asymptotic,
+    enumerate_sublattices,
+    form_envelope,
+    packing_density_bound,
     pair_weight_matrix,
-    enumerate_ball,
     iter_ball_coords,
+    verify_window_packing,
     volume_ratio_bound,
 )
 
@@ -31,13 +37,11 @@ class TestBallParams:
     def test_symmetric_constructor(self):
         p = BallParams.symmetric(3, 1, 2)
         assert (p.n, p.e, p.kplus, p.kminus) == (3, 1, 2, 2)
-        assert p.is_symmetric and p.s == 2 and p.span == 4
+        assert p.span == 4
 
     def test_asymmetric(self):
         p = BallParams(n=3, e=2, kplus=2, kminus=0)
-        assert not p.is_symmetric
-        with pytest.raises(InvalidParameterError):
-            p.s  # noqa: B018
+        assert (p.kplus, p.kminus, p.span) == (2, 0, 2)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -63,17 +67,10 @@ class TestBallParams:
 
 
 class TestIntVector:
-    def test_weight_and_support(self):
-        v = IntVector((0, -2, 0, 3))
-        assert v.weight == 2
-        assert v.support == (1, 3)
-        assert len(v) == 4 and v[3] == 3
-
-    def test_arithmetic(self):
-        v = IntVector((1, 2))
-        assert (-v).coords == (-1, -2)
-        assert (v + (1, 1)).coords == (2, 3)
-        assert (v - IntVector((1, 1))).coords == (0, 1)
+    def test_sequence_protocol(self):
+        v = IntVector([0, -2, 0, 3])
+        assert v.coords == (0, -2, 0, 3)
+        assert len(v) == 4 and v[3] == 3 and tuple(v) == v.coords
 
 
 class TestBallVolume:
@@ -97,16 +94,16 @@ class TestBallVolume:
 
 class TestEnumerateBall:
     def test_interval(self):
-        got = [v.coords for v in enumerate_ball(BallParams.symmetric(1, 1, 2))]
+        got = list(iter_ball_coords(BallParams.symmetric(1, 1, 2)))
         assert got == [(-2,), (-1,), (0,), (1,), (2,)]
 
     def test_cross_order(self):
-        got = [v.coords for v in enumerate_ball(BallParams.symmetric(2, 1, 1))]
+        got = list(iter_ball_coords(BallParams.symmetric(2, 1, 1)))
         assert got == [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
 
     def test_lexicographic_and_unique(self):
         for n, e, s in [(3, 1, 1), (3, 2, 2), (4, 2, 1)]:
-            got = [v.coords for v in enumerate_ball(BallParams.symmetric(n, e, s))]
+            got = list(iter_ball_coords(BallParams.symmetric(n, e, s)))
             assert got == sorted(got)
             assert len(set(got)) == len(got)
 
@@ -115,7 +112,7 @@ class TestEnumerateBall:
             for e in range(n + 1):
                 for s in (1, 2):
                     p = BallParams.symmetric(n, e, s)
-                    assert sum(1 for _ in enumerate_ball(p)) == ball_volume(p)
+                    assert sum(1 for _ in iter_ball_coords(p)) == ball_volume(p)
 
     def test_asymmetric_range(self):
         got = set(iter_ball_coords(BallParams(n=2, e=1, kplus=2, kminus=0)))
@@ -128,12 +125,12 @@ class TestEnumerateBall:
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            list(enumerate_ball(BallParams.symmetric(3, 1, 1), cap=5))
+            list(iter_ball_coords(BallParams.symmetric(3, 1, 1), cap=5))
 
     def test_streams_restart_independently(self):
         p = BallParams.symmetric(2, 1, 1)
-        first = list(enumerate_ball(p))
-        second = list(enumerate_ball(p))
+        first = list(iter_ball_coords(p))
+        second = list(iter_ball_coords(p))
         assert first == second
 
 
@@ -143,7 +140,7 @@ class TestPairWeightMatrix:
         assert m.entries == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
 
     def test_s2_entry(self):
-        assert pair_weight_matrix(2).entry(-2, 1) == 2
+        assert pair_weight_matrix(2).entries[-2 + 2][1 + 2] == 2
 
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_structure(self, s):
@@ -151,8 +148,8 @@ class TestPairWeightMatrix:
         for x in range(-s, s + 1):
             for y in range(-s, s + 1):
                 expected = 0 if x == y else (1 if abs(x - y) <= s else 2)
-                assert m.entry(x, y) == expected
-                assert m.entry(x, y) == m.entry(y, x)
+                assert m.entries[x + s][y + s] == expected
+                assert m.entries[x + s][y + s] == m.entries[y + s][x + s]
 
     def test_rejects_bad_s(self):
         with pytest.raises(InvalidParameterError):
@@ -190,3 +187,28 @@ class TestVolumeRatioBound:
                 for j in range(r):
                     chain *= volume_ratio_bound(n, e + j, 1, s)
                 assert chain >= volume_ratio_bound(n, e, r, s)
+
+
+P211 = BallParams.symmetric(2, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: BallParams.symmetric(2, 1, True), id="BallParams.symmetric"),
+        pytest.param(lambda: BallParams(n=True, e=0, kplus=1, kminus=1), id="BallParams"),
+        pytest.param(lambda: pair_weight_matrix(True), id="pair_weight_matrix"),
+        pytest.param(lambda: volume_ratio_bound(10, 2, True, 1), id="volume_ratio_bound"),
+        pytest.param(lambda: channel_distance((0, 1), (1, 0), True), id="channel_distance"),
+        pytest.param(lambda: list(enumerate_sublattices(True, 3)), id="enumerate_sublattices-n"),
+        pytest.param(lambda: list(enumerate_sublattices(2, True)), id="enumerate_sublattices-index"),
+        pytest.param(lambda: verify_window_packing([(0, 0)], P211, True), id="verify_window_packing"),
+        pytest.param(lambda: form_envelope(1, 3, True), id="form_envelope"),
+        pytest.param(lambda: density_bound_asymptotic("linear", "1/2", True), id="density_bound_asymptotic"),
+        pytest.param(lambda: classify(3, 1, True), id="classify"),
+        pytest.param(lambda: packing_density_bound(100, True, 4), id="packing_density_bound"),
+    ],
+)
+def test_bool_is_not_an_integer_parameter(call):
+    with pytest.raises(InvalidParameterError):
+        call()

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from lmlab import qp
 from lmlab import (
+    CapExceededError,
     Code,
     HypothesesUnmetError,
     InvalidParameterError,
@@ -18,7 +20,6 @@ from lmlab import (
     form_max_closed,
     form_max_exhaustive_integer,
     form_max_oracle_binary,
-    form_max_oracle_continuous,
     form_value,
     form_envelope,
     symbol_distributions,
@@ -27,15 +28,13 @@ from lmlab import (
 
 class TestSymbolDistribution:
     def test_masses(self):
-        d = SymbolDistribution(2, (2, 1, 6, 1, 2))
-        assert d.total == 12
-        assert d.nonzero_mass == 6
-        assert d.negative_mass == 3 and d.positive_mass == 3
-        assert d.count_at(-2) == 2 and d.count_at(0) == 6
+        d = SymbolDistribution(2, [2, 1, 6, 1, 2])
+        assert d.counts == (2, 1, 6, 1, 2)
+        assert sum(d.counts) == 12 and d.counts[d.s] == 6
 
     def test_mirror(self):
         d = SymbolDistribution(1, (3, 1, 0))
-        assert d.mirrored().counts == (0, 1, 3)
+        assert form_value(SymbolDistribution(1, tuple(reversed(d.counts)))) == form_value(d)
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
@@ -70,7 +69,7 @@ class TestClosedForm:
                 for a in range(K + 1):
                     value, argmax = form_max_closed(s, K, a)
                     assert form_value(argmax) == value
-                    assert argmax.total == K and argmax.nonzero_mass == a
+                    assert sum(argmax.counts) == K and sum(argmax.counts) - argmax.counts[s] == a
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidParameterError):
@@ -81,18 +80,18 @@ class TestClosedForm:
 
 class TestContinuousOracle:
     def test_worked_values(self):
-        assert form_max_oracle_continuous(1, 10, 4) == pytest.approx(64, abs=1e-6)
-        assert form_max_oracle_continuous(2, 12, 6) == pytest.approx(114, abs=1e-3)
+        assert continuous_oracle_search(1, 10, 4)[0] == pytest.approx(64, abs=1e-6)
+        assert continuous_oracle_search(2, 12, 6)[0] == pytest.approx(114, abs=1e-3)
 
     def test_zero_mass(self):
-        assert form_max_oracle_continuous(1, 5, 0) == 0.0
+        assert continuous_oracle_search(1, 5, 0)[0] == 0.0
 
     def test_dominance_spot_grid(self):
         for s in (1, 2, 3):
             for K in (2, 7, 12):
                 for a in range(K + 1):
                     closed, _ = form_max_closed(s, K, a)
-                    oracle = form_max_oracle_continuous(s, K, a)
+                    oracle = continuous_oracle_search(s, K, a)[0]
                     assert oracle <= float(closed) + 1e-6
                     if closed:
                         assert oracle >= float(closed) * (1 - 1e-3)
@@ -102,18 +101,27 @@ class TestContinuousOracle:
         # the mirrored best distribution must achieve the same value.
         for s, K, a in [(1, 10, 4), (2, 9, 5), (3, 6, 5)]:
             value, dist = continuous_oracle_search(s, K, a)
-            assert form_value(dist.mirrored()) == pytest.approx(value, abs=1e-9)
+            mirrored = SymbolDistribution(s, tuple(reversed(dist.counts)))
+            assert form_value(mirrored) == pytest.approx(value, abs=1e-9)
 
     def test_oracle_respects_constraints(self):
         value, dist = continuous_oracle_search(2, 10, 7)
-        assert dist.total == pytest.approx(10)
-        assert dist.nonzero_mass == pytest.approx(7)
+        assert sum(dist.counts) == pytest.approx(10)
+        assert sum(dist.counts) - dist.counts[2] == pytest.approx(7)
         assert all(c >= 0 for c in dist.counts)
         assert form_value(dist) == pytest.approx(value)
 
     def test_resolution_validation(self):
         with pytest.raises(InvalidParameterError):
-            form_max_oracle_continuous(1, 5, 2, resolution=0)
+            continuous_oracle_search(1, 5, 2, resolution=0)
+
+    def test_grid_cap_raises_before_enumerating(self, monkeypatch):
+        def no_enumeration(*args):
+            raise AssertionError("grid enumerated")
+
+        monkeypatch.setattr(qp, "_compositions", no_enumeration)
+        with pytest.raises(CapExceededError):
+            continuous_oracle_search(10, 5, 3)
 
 
 class TestExhaustiveIntegerMode:
