@@ -14,11 +14,12 @@ tiling of Z^n by the symmetric error ball and reports one of four statuses:
     interval arithmetic could not separate the parameters from a
     transcendental threshold (never reported as an exclusion).
 
-Decision discipline: every polynomial comparison is carried out in exact
-integer or rational arithmetic; thresholds involving logarithms are
-evaluated with outward-rounded interval arithmetic and a criterion reports
-``excludes`` only when the whole interval confirms it.  Where a logarithm
-happens to be exact (powers of two), the comparison is exact as well.
+Decision discipline: every polynomial comparison, and the asymptotic band's
+size condition, is carried out in exact integer or rational arithmetic; the
+sqrt thresholds, which involve logarithms, are evaluated with outward-rounded
+interval arithmetic and a criterion reports ``excludes`` only when the whole
+interval confirms it.  Where a logarithm happens to be exact (powers of
+two), the comparison is exact as well.
 
 The classifier aggregates all criteria for a parameter triple and only ever
 reports existence from a constructive witness: the zero-error case, the
@@ -115,34 +116,62 @@ def _as_fraction(value: RationalLike, name: str) -> Fraction:
         raise InvalidParameterError(f"{name} must be a rational number, got {value!r}") from exc
 
 
-def ceil_log2(n: int) -> int:
-    """Exact ceil(log2(n)) for n >= 1."""
-    if n < 1:
-        raise InvalidParameterError(f"ceil_log2 needs n >= 1, got {n}")
-    return (n - 1).bit_length()
+def _require_ints(**values: int) -> None:
+    for name, value in values.items():
+        _require_int(name, value)
 
 
-def ceil_log_ratio(base_num: int, base_den: int, x_num: int, x_den: int) -> int:
-    """Exact ceil(log_base(x)) for rational base > 1 and rational x >= 1."""
+class _Band(NamedTuple):
+    """Per-s constants of e^2 >= coefficient * n * log_base(arg_factor * n)."""
+
+    coefficient: Fraction
+    arg_factor: Fraction
+    log_base: Fraction
+    label: str
+    eps_slope: Fraction | None = None  # asymptotic band: base = 1 + eps_slope * eps
+    cap_slope: Fraction | None = None  # asymptotic band: e <= (cap_slope - eps) * n
+
+
+_BANDS = {
+    1: _Band(Fraction(2), Fraction(1), Fraction(2), "2n*log2(n)", Fraction(9, 4), Fraction(2, 3)),
+    2: _Band(
+        Fraction(12, 5),
+        Fraction(3, 2),
+        Fraction(4, 3),
+        "(12/5)n*log_(4/3)(3n/2)",
+        Fraction(25, 8),
+        Fraction(4, 5),
+    ),
+    3: _Band(Fraction(8, 3), Fraction(5, 3), Fraction(6, 5), "(8/3)n*log_(6/5)(5n/3)"),
+}
+
+#: Largest dimension table_row searches for the minimal n.
+TABLE_N_LIMIT = 10**7
+
+
+def ceil_log_ratio(
+    base_num: int, base_den: int, x_num: int, x_den: int, cap: int | None = None
+) -> int:
+    """Exact ceil(log_base(x)) for rational base > 1 and rational x >= 1.
+
+    With ``cap`` the count stops early and returns min(ceil(log_base(x)), cap + 1).
+    """
     if base_num <= base_den or base_den < 1:
         raise InvalidParameterError("base must be a rational greater than 1")
     if x_num < x_den or x_den < 1:
         raise InvalidParameterError("argument must be a rational >= 1")
     m = 0
     pow_num, pow_den = 1, 1
-    while pow_num * x_den < pow_den * x_num:  # base^m < x
+    while pow_num * x_den < pow_den * x_num and (cap is None or m <= cap):  # base^m < x
         pow_num *= base_num
         pow_den *= base_den
         m += 1
     return m
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and n & (n - 1) == 0
-
-
 def bound_prereq(n: int, e: int, s: int) -> CriterionOutcome:
     """Linear prerequisite: for s >= 2 and n >= 3, tilings need 5e < 4n - 2."""
+    _require_ints(n=n, e=e, s=s)
     name = "prerequisite-linear"
     if s < 2 or n < 3:
         return CriterionOutcome(
@@ -162,38 +191,24 @@ def bound_small_s(n: int, e: int, s: int) -> CriterionOutcome:
     5n/6 - ceil(log_{6/5}(5n/3)) for s = 3; the squared thresholds are
     2n log2(n), (12/5) n log_{4/3}(3n/2) and (8/3) n log_{6/5}(5n/3).
     """
+    _require_ints(n=n, e=e, s=s)
     if s not in (1, 2, 3):
         raise InvalidParameterError(f"small-magnitude band is stated for s in {{1,2,3}}, got {s}")
     name = "small-magnitude-band"
     if n < 3:
         return CriterionOutcome(name, ALL_TILINGS, HYPOTHESES_UNMET, f"needs n >= 3; got n={n}")
 
+    band = _BANDS[s]
+    base, arg = band.log_base, band.arg_factor * n
+    r = ceil_log_ratio(base.numerator, base.denominator, arg.numerator, arg.denominator)
+    linear = n / base - r
     sq_exact: Fraction | None = None
-    if s == 1:
-        r = ceil_log2(n)
-        linear = Fraction(n, 2) - r
-        if _is_power_of_two(n):
-            sq_exact = Fraction(2 * n * ceil_log2(n))  # log2(n) is exact here
-        sq_interval = (Interval.exact(2 * n) * Interval.exact(n).log2())
-        label = f"e^2 = {e * e} vs 2n*log2(n)"
-    elif s == 2:
-        r = ceil_log_ratio(4, 3, 3 * n, 2)
-        linear = Fraction(3 * n, 4) - r
-        sq_interval = (
-            Interval.exact(Fraction(12 * n, 5))
-            * Interval.exact(Fraction(3 * n, 2)).log2()
-            / Interval.exact(Fraction(4, 3)).log2()
-        )
-        label = f"e^2 = {e * e} vs (12/5)n*log_(4/3)(3n/2)"
-    else:
-        r = ceil_log_ratio(6, 5, 5 * n, 3)
-        linear = Fraction(5 * n, 6) - r
-        sq_interval = (
-            Interval.exact(Fraction(8 * n, 3))
-            * Interval.exact(Fraction(5 * n, 3)).log2()
-            / Interval.exact(Fraction(6, 5)).log2()
-        )
-        label = f"e^2 = {e * e} vs (8/3)n*log_(6/5)(5n/3)"
+    if s == 1 and n & (n - 1) == 0:
+        sq_exact = band.coefficient * n * (n.bit_length() - 1)  # log2(n) is exact here
+    sq_interval = Interval.exact(band.coefficient * n) * Interval.exact(arg).log2()
+    if base != 2:
+        sq_interval = sq_interval / Interval.exact(base).log2()
+    label = f"e^2 = {e * e} vs {band.label}"
 
     if e >= linear:
         return CriterionOutcome(
@@ -224,38 +239,24 @@ def bound_small_s(n: int, e: int, s: int) -> CriterionOutcome:
     return CriterionOutcome(name, ALL_TILINGS, SILENT, detail + " (below the sqrt threshold)")
 
 
-def _asymptotic_parts(s: int, eps: Fraction):
-    if s == 1:
-        base = 1 + Fraction(9, 4) * eps
-        linear_slope = Fraction(2, 3) - eps
-        numerator = Interval.exact(2)
-    else:
-        base = 1 + Fraction(25, 8) * eps
-        linear_slope = Fraction(4, 5) - eps
-        numerator = Interval.exact(Fraction(12, 5))
-    return base, linear_slope, numerator
-
-
-def _size_condition_holds(s: int, eps: Fraction, n: int, base: Fraction) -> bool | None:
-    """Whether ceil(log_base(arg)) < eps*n/2 with arg = n (s=1) or 3n/2 (s=2)."""
-    arg = Fraction(n) if s == 1 else Fraction(3 * n, 2)
-    quotient = Interval.exact(arg).log2() / Interval.exact(base).log2()
-    r = ceil_of(quotient)
-    if r is None:
-        return None
-    return r < eps * n / 2
+def _size_condition_holds(band: _Band, eps: Fraction, n: int, base: Fraction) -> bool:
+    """Whether ceil(log_base(arg)) < eps*n/2, i.e. arg <= base^m with m = ceil(eps*n/2) - 1."""
+    m = -(-eps.numerator * n // (2 * eps.denominator)) - 1
+    arg_num, arg_den = band.arg_factor.numerator * n, band.arg_factor.denominator
+    return ceil_log_ratio(base.numerator, base.denominator, arg_num, arg_den, m) <= m
 
 
 def bound_asymptotic(n: int, e: int, s: int, epsilon: RationalLike) -> CriterionOutcome:
     """Tunable band for s in {1, 2}: applies once n is large enough for eps.
 
-    The criterion applies when ceil(log2(arg) / log2(base)) < eps*n/2, with
-    arg = n, base = 1 + 9*eps/4 for s = 1 and arg = 3n/2,
+    The criterion applies when ceil(log2(arg) / log2(base)) < eps*n/2 (decided
+    exactly), with arg = n, base = 1 + 9*eps/4 for s = 1 and arg = 3n/2,
     base = 1 + 25*eps/8 for s = 2.  Inside its range it excludes exactly the
     band  sqrt(c * n * log2 n) <= e <= (2/3 - eps) n  (s = 1, with
     c = 2 / log2(base)), respectively (4/5 - eps) n and
     c = 12 / (5 log2(base)) for s = 2.
     """
+    _require_ints(n=n, e=e, s=s)
     eps = _as_fraction(epsilon, "epsilon")
     if eps <= 0:
         raise InvalidParameterError(f"epsilon must be positive, got {eps}")
@@ -264,20 +265,16 @@ def bound_asymptotic(n: int, e: int, s: int, epsilon: RationalLike) -> Criterion
     name = f"asymptotic-band(eps={eps})"
     if n < 3:
         return CriterionOutcome(name, ALL_TILINGS, HYPOTHESES_UNMET, f"needs n >= 3; got n={n}")
-    base, linear_slope, numerator = _asymptotic_parts(s, eps)
-    holds = _size_condition_holds(s, eps, n, base)
-    if holds is None:
-        return CriterionOutcome(
-            name, ALL_TILINGS, BOUNDARY_UNCERTAIN, "size condition rounds ambiguously"
-        )
-    if not holds:
+    band = _BANDS[s]
+    base = 1 + band.eps_slope * eps
+    if not _size_condition_holds(band, eps, n, base):
         return CriterionOutcome(
             name,
             ALL_TILINGS,
             HYPOTHESES_UNMET,
             f"size condition fails at n={n} for eps={eps}",
         )
-    linear_cap = linear_slope * n
+    linear_cap = (band.cap_slope - eps) * n
     if e > linear_cap:
         return CriterionOutcome(
             name,
@@ -285,7 +282,8 @@ def bound_asymptotic(n: int, e: int, s: int, epsilon: RationalLike) -> Criterion
             SILENT,
             f"e = {e} above the linear cap {linear_cap} (outside the band)",
         )
-    sq = numerator / Interval.exact(base).log2() * Interval.exact(n) * Interval.exact(n).log2()
+    coeff = Interval.exact(band.coefficient) / Interval.exact(base).log2()
+    sq = coeff * Interval.exact(n) * Interval.exact(n).log2()
     decision = compare_ge(e * e, sq)
     label = f"e^2 = {e * e} vs c*n*log2(n) in [{sq.lo}, {sq.hi}]; e <= linear cap {linear_cap}"
     if decision is None:
@@ -295,32 +293,40 @@ def bound_asymptotic(n: int, e: int, s: int, epsilon: RationalLike) -> Criterion
     return CriterionOutcome(name, ALL_TILINGS, SILENT, label + " (below the sqrt threshold)")
 
 
-def table_row(s: int, epsilon: RationalLike, n_limit: int = 10**7) -> TableRow:
+def table_row(s: int, epsilon: RationalLike) -> TableRow:
     """Smallest n where the asymptotic band applies, plus its sqrt coefficient.
 
     The coefficient 2/log2(1 + 9*eps/4) (s = 1) or 12/(5*log2(1 + 25*eps/8))
-    (s = 2) is rounded up at two decimals for display.  The scan for the
-    minimal n starts at 3, the smallest dimension any of the band criteria
-    covers.
+    (s = 2) is rounded up at two decimals for display.  The minimal n >= 3 is
+    exact: on each plateau of m = ceil(eps*n/2) - 1 only its first n,
+    floor(2m/eps) + 1, can satisfy arg <= base^m first, so the scan takes one
+    multiplication per plateau up to ``TABLE_N_LIMIT``.
     """
+    _require_int("s", s)
     eps = _as_fraction(epsilon, "epsilon")
     if not 0 < eps < 1:
         raise InvalidParameterError(f"epsilon must lie in (0, 1), got {eps}")
     if s not in (1, 2):
         raise InvalidParameterError(f"table rows are defined for s in {{1,2}}, got {s}")
-    base, _, numerator = _asymptotic_parts(s, eps)
-    coeff = numerator / Interval.exact(base).log2()
-    scaled = ceil_of(coeff * 100)
+    band = _BANDS[s]
+    base = 1 + band.eps_slope * eps
+    coeff = Interval.exact(band.coefficient) / Interval.exact(base).log2()
+    scaled = ceil_of(coeff * Interval.exact(100))
     if scaled is None:
         raise BoundaryUncertainError("coefficient does not round decidably at 2 decimals")
     coefficient = Fraction(scaled, 100)
-    for n in range(3, n_limit + 1):
-        holds = _size_condition_holds(s, eps, n, base)
-        if holds is None:
-            raise BoundaryUncertainError(f"size condition rounds ambiguously at n={n}")
-        if holds:
+    n, m = 3, -(-3 * eps.numerator // (2 * eps.denominator)) - 1  # m = ceil(3*eps/2) - 1
+    pow_num, pow_den = base.numerator**m, base.denominator**m
+    while n <= TABLE_N_LIMIT:
+        if band.arg_factor.numerator * n * pow_den <= pow_num * band.arg_factor.denominator:
             return TableRow(min_n=n, coefficient=coefficient)
-    raise InvalidParameterError(f"no n <= {n_limit} satisfies the size condition for eps={eps}")
+        m += 1
+        pow_num *= base.numerator
+        pow_den *= base.denominator
+        n = 2 * m * eps.denominator // eps.numerator + 1
+    raise InvalidParameterError(
+        f"no n <= {TABLE_N_LIMIT} satisfies the size condition for eps={eps}"
+    )
 
 
 def bound_large_s(n: int, e: int, s: int, strict: bool = False) -> CriterionOutcome:
@@ -335,6 +341,7 @@ def bound_large_s(n: int, e: int, s: int, strict: bool = False) -> CriterionOutc
     e + 1 >= sqrt(3n / (3*sqrt(2) - 4)), still decided exactly by squaring:
     18 (e+1)^4 >= (3n + 4 (e+1)^2)^2.
     """
+    _require_ints(n=n, e=e, s=s)
     if s < 3:
         raise InvalidParameterError(f"large-magnitude bound is stated for s >= 3, got {s}")
     name = "large-magnitude-sqrt" + ("(strict)" if strict else "")
@@ -371,11 +378,10 @@ def bound_lattice_cases(n: int, e: int, kplus: int, kminus: int) -> CriterionOut
     exact, including the cumulative-volume inequality
     sum_{i=1..e} C(n,i) (2 kplus)^(i-1) >= (kplus + 1)^e.
     """
+    _require_ints(n=n, e=e, kplus=kplus, kminus=kminus)
     name = "lattice-tiling-cases"
-    if not (isinstance(kplus, int) and isinstance(kminus, int)) or not kplus >= kminus >= 0:
-        raise InvalidParameterError(
-            f"need integer kplus >= kminus >= 0, got kplus={kplus!r}, kminus={kminus!r}"
-        )
+    if not kplus >= kminus >= 0:
+        raise InvalidParameterError(f"need kplus >= kminus >= 0, got kplus={kplus}, kminus={kminus}")
     if kplus == 0:
         raise InvalidParameterError("kplus and kminus cannot both be 0")
     if not (2 <= e < n <= 2 * e):
@@ -431,8 +437,7 @@ def classify(n: int, e: int, s: int, strict: bool = False) -> ClassificationRepo
     Lattice-only exclusions never drive the verdict; they set the separate
     ``lattice_excluded`` flag.
     """
-    for name, value in (("n", n), ("e", e), ("s", s)):
-        _require_int(name, value)
+    _require_ints(n=n, e=e, s=s)
     if n < 1 or s < 1 or not 0 <= e <= n:
         raise InvalidParameterError(
             f"need n >= 1, s >= 1, 0 <= e <= n; got n={n}, e={e}, s={s}"
@@ -490,8 +495,7 @@ def packing_density_bound(n: int, e: int, s: int) -> DensityBound:
     Applicable only when (e+1)^2 > 2n; values of 1 or more carry no
     information for a packing and are flagged vacuous.
     """
-    for name, value in (("n", n), ("e", e), ("s", s)):
-        _require_int(name, value)
+    _require_ints(n=n, e=e, s=s)
     if n < 1 or s < 1 or e < 0:
         raise InvalidParameterError(f"need n >= 1, s >= 1, e >= 0; got n={n}, e={e}, s={s}")
     if e >= n:

@@ -1,9 +1,10 @@
 """Directed-rounding interval arithmetic over 64-bit floats.
 
-Only what the exclusion bounds need: +, -, *, /, log2, and decisions
-against exact rationals.  Every float operation is widened outward by one
-ulp (two for log2, whose libm implementation is faithful but not exactly
-rounded), so the true real value always lies inside its interval.  Decisions
+Only what the exclusion bounds' sqrt thresholds need: *, /, log2, and
+decisions against exact rationals.  Every float operation is widened
+outward by one ulp (two for log2, whose libm implementation is faithful but
+not exactly rounded), so the true real value always lies inside its
+interval.  Decisions
 taken through :func:`compare_ge` and :func:`ceil_of` are therefore reliable;
 when an interval straddles the decision boundary they return ``None`` and
 the caller must treat the comparison as unresolved.
@@ -44,27 +45,7 @@ class Interval:
             return cls(f, f)
         return cls(_down(f), _up(f))
 
-    @staticmethod
-    def _coerce(value: "Interval | Exact") -> "Interval":
-        if isinstance(value, Interval):
-            return value
-        return Interval.exact(value)
-
-    def __add__(self, other: "Interval | Exact") -> "Interval":
-        o = self._coerce(other)
-        return Interval(_down(self.lo + o.lo), _up(self.hi + o.hi))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "Interval | Exact") -> "Interval":
-        o = self._coerce(other)
-        return Interval(_down(self.lo - o.hi), _up(self.hi - o.lo))
-
-    def __rsub__(self, other: "Interval | Exact") -> "Interval":
-        return self._coerce(other).__sub__(self)
-
-    def __mul__(self, other: "Interval | Exact") -> "Interval":
-        o = self._coerce(other)
+    def __mul__(self, o: "Interval") -> "Interval":
         products = (
             self.lo * o.lo,
             self.lo * o.hi,
@@ -73,10 +54,7 @@ class Interval:
         )
         return Interval(_down(min(products)), _up(max(products)))
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "Interval | Exact") -> "Interval":
-        o = self._coerce(other)
+    def __truediv__(self, o: "Interval") -> "Interval":
         if o.lo <= 0.0 <= o.hi:
             raise ZeroDivisionError(f"divisor interval [{o.lo}, {o.hi}] contains zero")
         quotients = (
@@ -86,9 +64,6 @@ class Interval:
             self.hi / o.hi,
         )
         return Interval(_down(min(quotients)), _up(max(quotients)))
-
-    def __rtruediv__(self, other: "Interval | Exact") -> "Interval":
-        return self._coerce(other).__truediv__(self)
 
     def log2(self) -> "Interval":
         if self.lo <= 0.0:

@@ -27,7 +27,6 @@ from lmlab.bounds import (
     LATTICE_ONLY,
     OPEN,
     SILENT,
-    ceil_log2,
     ceil_log_ratio,
 )
 
@@ -35,7 +34,7 @@ from lmlab.bounds import (
 class TestExactCeilLogs:
     def test_ceil_log2_matches_definition(self):
         for n in range(1, 2050):
-            m = ceil_log2(n)
+            m = ceil_log_ratio(2, 1, n, 1)
             assert 2**m >= n
             assert m == 0 or 2 ** (m - 1) < n
 
@@ -46,6 +45,12 @@ class TestExactCeilLogs:
                 m = ceil_log_ratio(base_num, base_den, x_num, 1)
                 assert base**m >= x_num
                 assert m == 0 or base ** (m - 1) < x_num
+
+    def test_cap_stops_the_count(self):
+        # ceil(log2(1000)) = 10; with a cap the count stops at cap + 1.
+        assert ceil_log_ratio(2, 1, 1000, 1, cap=20) == 10
+        assert ceil_log_ratio(2, 1, 1000, 1, cap=4) == 5
+        assert ceil_log_ratio(2, 1, 1000, 1, cap=0) == 1
 
     def test_rejects_bad_base(self):
         with pytest.raises(InvalidParameterError):
@@ -125,6 +130,10 @@ class TestAsymptoticBand:
     def test_small_n(self):
         assert bound_asymptotic(2, 1, 1, "1/10").status == HYPOTHESES_UNMET
 
+    def test_tiny_epsilon_is_decided(self):
+        # The size condition is exact, so no epsilon leaves it undecided.
+        assert bound_asymptotic(100, 10, 1, "1/1000000000").status == HYPOTHESES_UNMET
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidParameterError):
             bound_asymptotic(100, 10, 3, "1/10")
@@ -132,18 +141,25 @@ class TestAsymptoticBand:
             bound_asymptotic(100, 10, 1, 0)
 
 
+# (s, eps, min n, coefficient), recorded from a linear scan over every n.
+TABLE_ROWS = [
+    (1, "1/10", 641, "6.84"),
+    (1, "1/15", 1591, "9.92"),
+    (1, "1/20", 3041, "13.01"),
+    (2, "1/10", 501, "6.12"),
+    (2, "1/15", 1201, "8.80"),
+    (2, "1/20", 2241, "11.46"),
+    (1, "1/50", 22801, "31.50"),
+    (2, "1/50", 16801, "27.45"),
+    (1, "1/100", 104001, "62.31"),
+    (2, "1/100", 75801, "54.07"),
+    (1, "1/200", 466801, "123.92"),
+    (2, "1/200", 339201, "107.30"),
+]
+
+
 class TestTableRows:
-    @pytest.mark.parametrize(
-        "s,eps,min_n,coeff",
-        [
-            (1, "1/10", 641, "6.84"),
-            (1, "1/15", 1591, "9.92"),
-            (1, "1/20", 3041, "13.01"),
-            (2, "1/10", 501, "6.12"),
-            (2, "1/15", 1201, "8.80"),
-            (2, "1/20", 2241, "11.46"),
-        ],
-    )
+    @pytest.mark.parametrize("s,eps,min_n,coeff", TABLE_ROWS)
     def test_explicit_rows(self, s, eps, min_n, coeff):
         row = table_row(s, eps)
         assert row.min_n == min_n
@@ -151,8 +167,13 @@ class TestTableRows:
 
     def test_min_n_is_minimal(self):
         # One below the tabulated minimum must fail the size condition.
-        assert bound_asymptotic(640, 300, 1, "1/10").status == HYPOTHESES_UNMET
-        assert bound_asymptotic(641, 300, 1, "1/10").status != HYPOTHESES_UNMET
+        for s, eps, min_n, _ in TABLE_ROWS:
+            assert bound_asymptotic(min_n - 1, 0, s, eps).status == HYPOTHESES_UNMET
+            assert bound_asymptotic(min_n, 0, s, eps).status != HYPOTHESES_UNMET
+
+    def test_no_row_below_the_limit(self):
+        with pytest.raises(InvalidParameterError):
+            table_row(1, "1/1000")
 
     def test_rejects_bad_epsilon(self):
         with pytest.raises(InvalidParameterError):

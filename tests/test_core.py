@@ -11,6 +11,11 @@ from lmlab import (
     IntVector,
     InvalidParameterError,
     ball_volume,
+    bound_asymptotic,
+    bound_large_s,
+    bound_lattice_cases,
+    bound_prereq,
+    bound_small_s,
     channel_distance,
     classify,
     density_bound_asymptotic,
@@ -19,6 +24,7 @@ from lmlab import (
     packing_density_bound,
     pair_weight_matrix,
     iter_ball_coords,
+    table_row,
     verify_window_packing,
     volume_ratio_bound,
 )
@@ -207,6 +213,12 @@ P211 = BallParams.symmetric(2, 1, 1)
         pytest.param(lambda: density_bound_asymptotic("linear", "1/2", True), id="density_bound_asymptotic"),
         pytest.param(lambda: classify(3, 1, True), id="classify"),
         pytest.param(lambda: packing_density_bound(100, True, 4), id="packing_density_bound"),
+        pytest.param(lambda: bound_prereq(10.5, 3, 2), id="bound_prereq"),
+        pytest.param(lambda: bound_small_s(10, 3, True), id="bound_small_s"),
+        pytest.param(lambda: bound_asymptotic(100, 10, True, "1/10"), id="bound_asymptotic"),
+        pytest.param(lambda: bound_large_s(100, 40, 4.0), id="bound_large_s"),
+        pytest.param(lambda: bound_lattice_cases(10, 6, True, True), id="bound_lattice_cases"),
+        pytest.param(lambda: table_row(True, "1/10"), id="table_row"),
     ],
 )
 def test_bool_is_not_an_integer_parameter(call):

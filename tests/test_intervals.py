@@ -33,8 +33,6 @@ class TestArithmeticEnclosure:
             a = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
             b = Fraction(rng.randint(1, 10**6), rng.randint(1, 10**6))
             ia, ib = Interval.exact(a), Interval.exact(b)
-            assert contains(ia + ib, a + b)
-            assert contains(ia - ib, a - b)
             assert contains(ia * ib, a * b)
             assert contains(ia / ib, a / b)
 
