@@ -2,10 +2,13 @@
 
 A full-rank sublattice L of Z^n is given by an n x n integer generator
 matrix whose rows are basis vectors.  Verification never searches: the
-quotient group Z^n / L is computed exactly through the Smith normal form,
-every ball vector is mapped to its canonical residue, and a packing is
-certified by injectivity of that map.  A packing is a tiling exactly when
-the ball volume equals the group index |det L|.
+quotient group Z^n / L is computed exactly through one Smith normal form
+per call, every ball vector is mapped to an integer key that names its
+coset, and a packing is certified by injectivity of that map.  The key
+packs the nontrivial cyclic factors of the group side by side in one Python
+integer, and the keys of the whole ball are built suffix by suffix with one
+addition and one masked subtraction per vector.  A packing is a tiling
+exactly when the ball volume equals the group index |det L|.
 
 Generator matrices are accepted in any basis; no canonical form is imposed
 on input (two generator matrices describe the same lattice whenever one is a
@@ -17,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 from .core import (
     DEFAULT_ENUM_CAP,
@@ -40,9 +44,9 @@ VERDICT_FAILS = "fails"
 
 
 def _as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
-    mat = tuple(tuple(int(x) for x in row) for row in rows)
+    mat = tuple([tuple(map(int, row)) for row in rows])
     n = len(mat)
-    if n == 0 or any(len(row) != n for row in mat):
+    if n == 0 or {len(row) for row in mat} != {n}:
         raise InvalidParameterError("generator matrix must be square and nonempty")
     return mat
 
@@ -281,13 +285,86 @@ class VerificationResult:
         }
 
 
+#: Suffix key lists are materialized up to about this many keys; longer
+#: balls are walked prefix by prefix, so an early collision stops the work.
+_KEY_BLOCK = 1 << 12
+
+
+def _coset_keys(lattice: Lattice, params: BallParams) -> Iterator[int]:
+    """Integer coset keys of the ball vectors, in ``iter_ball_coords`` order.
+
+    With diag = U * gen * V from the Smith normal form, the coset of w is
+    given by the lanes (w . V[:, j]) mod d_j.  Lanes with d_j = 1 are
+    constant and dropped; every other lane is scaled by D / d_j into Z / D,
+    D = d_n, and the lanes sit ``width`` bits apart in one integer, so two
+    vectors are congruent modulo the lattice exactly when their keys are
+    equal.  Adding two keys lane by lane modulo D is one addition and one
+    masked subtraction: a lane holding at least D reaches its top bit once
+    ``bias`` adds 2^(width-1) - D to it.
+    """
+    diag, _, v = smith_normal_form(lattice.gen)
+    big = diag[-1]
+    lanes = [(j, big // d) for j, d in enumerate(diag) if d > 1]
+    width = big.bit_length() + 1
+    top = width - 1
+    bias = sum(((1 << top) - big) << (width * k) for k in range(len(lanes)))
+    high = sum(1 << (top + width * k) for k in range(len(lanes)))
+
+    def plus(cs: list[int], keys: list[int]) -> list[int]:
+        """[c + t for c in cs for t in keys], lane by lane modulo D."""
+        return [(x := c + t) - (((x + bias) & high) >> top) * big for c in cs for t in keys]
+
+    def multiples(unit: list[int], count: int) -> list[int]:
+        """Packed images of x * unit for x = 1, ..., count; each round doubles x."""
+        images = [sum((u % big) << (width * k) for k, u in enumerate(unit))]
+        while len(images) < count:
+            images += plus(images, [images[-1]])
+        return images[:count]
+
+    # steps[i]: the packed images of the negative values at coordinate i, in
+    # lex order (-kminus first), and of the positive values.
+    steps = []
+    for row in v:
+        unit = [row[j] * scale for j, scale in lanes]
+        neg = multiples([-u for u in unit], params.kminus)[::-1]
+        steps.append((neg, multiples(unit, params.kplus)))
+
+    # tails[b]: keys of the suffix from coordinate ``split`` on, with at most b
+    # nonzero entries, in lex order: [c + tail(b-1) for c < 0] + tail(b) + [c > 0].
+    n, e = params.n, params.e
+    tails = [[0]] * (e + 1)
+    split = n
+    while split and len(tails[e]) < _KEY_BLOCK:
+        split -= 1
+        neg, pos = steps[split]
+        tails = [[0]] + [
+            plus(neg, tails[b - 1]) + tails[b] + plus(pos, tails[b - 1]) for b in range(1, e + 1)
+        ]
+
+    def blocks(i: int, budget: int, key: int) -> Iterator[list[int]]:
+        if i == split:
+            yield plus([key], tails[budget])
+        elif budget == 0:
+            yield [key]
+        else:
+            neg, pos = steps[i]
+            for c in plus(neg, [key]):
+                yield from blocks(i + 1, budget - 1, c)
+            yield from blocks(i + 1, budget, key)
+            for c in plus(pos, [key]):
+                yield from blocks(i + 1, budget - 1, c)
+
+    return chain.from_iterable(blocks(0, e, 0))
+
+
 def verify_lattice_packing(
     lattice: Lattice, params: BallParams, cap: int = DEFAULT_ENUM_CAP
 ) -> VerificationResult:
     """Certify that lattice translates of the ball are pairwise disjoint.
 
-    Maps every ball vector to its canonical residue modulo the lattice;
-    the translates are disjoint exactly when all residues are distinct.
+    Walks the ball in lexicographic order next to its coset keys; the
+    translates are disjoint exactly when all keys are distinct, and the
+    first repeated key gives the witness pair.
     """
     if lattice.n != params.n:
         raise DimensionMismatchError(
@@ -295,19 +372,17 @@ def verify_lattice_packing(
         )
     volume = ball_volume(params)
     index = lattice.det_abs
-    qmap = QuotientMap(lattice)
-    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for w in iter_ball_coords(params, cap):
-        r = qmap.residue(w)
-        other = seen.get(r)
-        if other is not None:
+    coords = iter_ball_coords(params, cap)
+    seen: dict[int, tuple[int, ...]] = {}
+    for w, key in zip(coords, _coset_keys(lattice, params)):
+        other = seen.setdefault(key, w)
+        if other is not w:
             return VerificationResult(
                 verdict=VERDICT_FAILS,
                 volume=volume,
                 index=index,
                 witness=(IntVector(other), IntVector(w)),
             )
-        seen[r] = w
     return VerificationResult(verdict=VERDICT_PACKS, volume=volume, index=index)
 
 

@@ -4,7 +4,11 @@ Sublattices of Z^n of a given index are enumerated through their Hermite
 normal forms (upper triangular, positive diagonal, entries above a diagonal
 reduced modulo it), one representative per sublattice, in lexicographic
 order by diagonal and then by the off-diagonal entries.  A perfect-code
-search verifies each candidate of index equal to the ball volume.
+search enumerates the ball once and tests each candidate of index equal to
+the ball volume by back-substitution on its triangular rows: every ball
+vector is reduced to the canonical box [0, d_1) x ... x [0, d_n), and the
+candidate tiles exactly when no two reductions agree.  No Smith normal form
+is needed, and most candidates fail after a few vectors.
 
 Window verification and density estimation are deliberately independent of
 the quotient-group machinery: they place balls cell by cell inside a finite
@@ -18,7 +22,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .core import (  # noqa: F401  (perfbench/tests asserts search.iter_ball_coords is bound)
+from .core import (
     DEFAULT_ENUM_CAP,
     BallParams,
     IntVector,
@@ -27,12 +31,7 @@ from .core import (  # noqa: F401  (perfbench/tests asserts search.iter_ball_coo
     iter_ball_coords,
 )
 from .errors import CapExceededError, DimensionMismatchError, InvalidParameterError
-from .lattice import (
-    VERDICT_TILES,
-    Lattice,
-    QuotientMap,
-    verify_lattice_tiling,
-)
+from .lattice import Lattice, QuotientMap
 from .metric import DEFAULT_CELL_CAP, _first_overlap
 
 #: Largest sublattice index the exhaustive enumeration will accept.
@@ -70,7 +69,8 @@ def enumerate_sublattices(
     For a fixed diagonal (d_1, ..., d_n) with product equal to the index,
     the free entries are those above each diagonal element, ranging over
     [0, d_j); diagonals ascend lexicographically, then the off-diagonal
-    entries read row by row.
+    entries read row by row.  ``n`` and ``index`` are checked on the call,
+    before the first lattice is asked for.
     """
     if not 1 <= _require_int("n", n) <= MAX_SEARCH_DIMENSION:
         raise InvalidParameterError(
@@ -79,16 +79,43 @@ def enumerate_sublattices(
     _require_int("index", index, 1)
     if index > index_cap:
         raise CapExceededError(f"index {index} exceeds the enumeration cap {index_cap}")
-    positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for diag in _ordered_factorizations(index, n):
-        ranges = [range(diag[j]) for _, j in positions]
-        for offs in itertools.product(*ranges):
-            rows = [[0] * n for _ in range(n)]
-            for i in range(n):
-                rows[i][i] = diag[i]
-            for (i, j), value in zip(positions, offs):
-                rows[i][j] = value
-            yield Lattice(tuple(tuple(row) for row in rows))
+    # Row i holds the n - 1 - i free entries right after its diagonal element.
+    starts = [sum(n - 1 - k for k in range(i)) for i in range(n + 1)]
+
+    def hnf() -> Iterator[Lattice]:
+        for diag in _ordered_factorizations(index, n):
+            ranges = [range(diag[j]) for i in range(n) for j in range(i + 1, n)]
+            for offs in itertools.product(*ranges):
+                yield Lattice(tuple(
+                    (0,) * i + (diag[i],) + offs[starts[i]:starts[i + 1]] for i in range(n)
+                ))
+
+    return hnf()
+
+
+def _separates(rows: tuple[tuple[int, ...], ...], ball: list[tuple[int, ...]]) -> bool:
+    """Whether no two ball vectors are congruent modulo the HNF lattice ``rows``.
+
+    Reduces each vector into [0, d_1) x ... x [0, d_n) by back-substitution
+    on the upper triangular rows (divide by d_i, subtract q * row_i) and
+    reads the reduced vector as a mixed-radix key.
+    """
+    n = len(rows)
+    seen = set()
+    for w in ball:
+        w = list(w)
+        key = 0
+        for i, row in enumerate(rows):
+            d = row[i]
+            q, r = divmod(w[i], d)
+            key = key * d + r
+            if q:
+                for j in range(i + 1, n):
+                    w[j] -= q * row[j]
+        if key in seen:
+            return False
+        seen.add(key)
+    return True
 
 
 def search_perfect_lattices(
@@ -100,14 +127,12 @@ def search_perfect_lattices(
 
     The candidate set is exhaustive, so the returned list is the complete
     collection of perfect lattice codes for these parameters (one canonical
-    generator per lattice), sorted canonically.
+    generator per lattice), sorted canonically.  A candidate of index |ball|
+    tiles exactly when it separates the ball's vectors into distinct cosets.
     """
-    index = ball_volume(params)
-    found = [
-        lattice
-        for lattice in enumerate_sublattices(params.n, index, index_cap)
-        if verify_lattice_tiling(lattice, params, cap).verdict == VERDICT_TILES
-    ]
+    candidates = enumerate_sublattices(params.n, ball_volume(params), index_cap)
+    ball = list(iter_ball_coords(params, cap))
+    found = [lattice for lattice in candidates if _separates(lattice.gen, ball)]
     found.sort(key=lambda lat: lat.gen)
     return found
 

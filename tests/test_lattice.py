@@ -1,17 +1,21 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import lmlab.lattice
 from lmlab import (
     BUNDLED_TILINGS,
     BallParams,
     DimensionMismatchError,
+    IntVector,
     InvalidParameterError,
     Lattice,
     QuotientMap,
     SingularMatrixError,
+    VerificationResult,
     ball_volume,
     iter_ball_coords,
     lattice_density,
@@ -50,6 +54,8 @@ def fraction_det(rows):
 
 def random_unimodular(n, rng, steps=12):
     """Product of elementary integer row operations (determinant +-1)."""
+    if n == 1:
+        return [[rng.choice((1, -1))]]
     u = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(steps):
         i, j = rng.sample(range(n), 2)
@@ -120,6 +126,30 @@ class TestSmithNormalForm:
     def test_rejects_non_square(self):
         with pytest.raises(InvalidParameterError):
             smith_normal_form(((1, 2, 3), (4, 5, 6)))
+
+    def test_diag_matches_sympy_invariants(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+        rng = random.Random(19)
+        checked = 0
+        while checked < 120:
+            n = rng.randint(1, 6)
+            if checked % 2:
+                mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            else:
+                # A divisibility chain hidden behind unimodular factors on both sides.
+                chain = [1]
+                for _ in range(n - 1):
+                    chain.append(chain[-1] * rng.choice((1, 1, 2, 3)))
+                rng.shuffle(chain)
+                diagonal = [[chain[i] * (i == j) for j in range(n)] for i in range(n)]
+                mat = matmul(matmul(random_unimodular(n, rng), diagonal), random_unimodular(n, rng))
+            if fraction_det(mat) == 0:
+                continue
+            expected = sympy_snf(sympy.Matrix(mat), domain=sympy.ZZ)
+            assert smith_normal_form(mat)[0] == tuple(int(expected[i, i]) for i in range(n)), mat
+            checked += 1
 
 
 class TestQuotientMap:
@@ -206,6 +236,97 @@ class TestVerification:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             verify_lattice_packing(CROSS, BallParams.symmetric(3, 1, 1))
+
+
+def reference_tiling(lattice, params):
+    """Tiling verification by residues, the algorithm the coset keys replace.
+
+    One ``QuotientMap.residue`` per ball vector in lexicographic order; the
+    first residue seen twice gives the witness pair.
+    """
+    qmap = QuotientMap(lattice)
+    volume, index = ball_volume(params), lattice.det_abs
+    seen = {}
+    for w in iter_ball_coords(params):
+        r = qmap.residue(w)
+        if r in seen:
+            return VerificationResult("fails", volume, index, (IntVector(seen[r]), IntVector(w)))
+        seen[r] = w
+    return VerificationResult("tiles" if volume == index else "packs", volume, index)
+
+
+def random_case(rng):
+    """A seeded ball with n <= 7 and an HNF lattice of index near its volume."""
+    while True:
+        n = rng.randint(1, 7)
+        e = rng.randint(0, n)
+        kminus = rng.randint(0, 2)
+        params = BallParams(n, e, rng.randint(max(kminus, e > 0), 3), kminus)
+        if ball_volume(params) <= 400:
+            break
+    rest = rng.randint(max(1, ball_volume(params) // 2), 2 * ball_volume(params))
+    diag = []
+    for _ in range(n - 1):
+        diag.append(rng.choice([d for d in range(1, rest + 1) if rest % d == 0]))
+        rest //= diag[-1]
+    diag.append(rest)
+    rng.shuffle(diag)
+    rows = [
+        [diag[i] if i == j else (rng.randrange(diag[j]) if j > i else 0) for j in range(n)]
+        for i in range(n)
+    ]
+    return params, rows
+
+
+class TestCosetKeys:
+    """Packed coset keys against the residue walk they replace."""
+
+    def check(self, lattice, params, monkeypatch):
+        expected = reference_tiling(lattice, params)
+        if expected.witness is not None:
+            a, b = expected.witness
+            assert lattice.contains([x - y for x, y in zip(a, b)])
+        # A tiny key block walks ball prefixes instead of materializing the suffix lists.
+        for block in (lmlab.lattice._KEY_BLOCK, 3):
+            monkeypatch.setattr(lmlab.lattice, "_KEY_BLOCK", block)
+            assert verify_lattice_tiling(lattice, params) == expected, (lattice, params)
+        return expected.verdict
+
+    def test_random_lattices_in_both_bases(self, monkeypatch):
+        rng = random.Random(2024)
+        verdicts = Counter()
+        for _ in range(1000):
+            params, rows = random_case(rng)
+            scrambled = matmul(random_unimodular(params.n, rng), rows)
+            for gen in (rows, scrambled):
+                verdicts[self.check(Lattice(gen), params, monkeypatch)] += 1
+        assert sum(verdicts.values()) == 2000
+        assert all(verdicts[v] >= 100 for v in ("tiles", "packs", "fails")), verdicts
+
+    @pytest.mark.parametrize(
+        "gen,params",
+        [
+            # Z^n itself: no nontrivial lane, every key is 0.
+            (((1,),), BallParams(1, 0, 0, 0)),
+            (((1, 0), (0, 1)), P211),
+            (((1, 0, 0), (0, 1, 0), (0, 0, 1)), BallParams(3, 2, 2, 1)),
+            # Power-of-two exponents: D is the smallest number of its bit length.
+            (((2, 0, 0), (0, 2, 0), (0, 0, 2)), BallParams(3, 1, 1, 0)),
+            (((2, 0, 0), (0, 2, 0), (0, 0, 2)), BallParams(3, 3, 1, 0)),
+            (((2, 0, 0), (0, 2, 0), (0, 0, 2)), BallParams.symmetric(3, 1, 1)),
+            (((4, 0), (0, 8)), P211),
+            (((4, 0), (0, 8)), BallParams(2, 2, 2, 1)),
+            (((4, 0), (0, 8)), BallParams(2, 2, 3, 0)),
+        ]
+        + [(lat.gen, BallParams.symmetric(*nes)) for nes, lat in BUNDLED_TILINGS.items()],
+    )
+    def test_pinned_cases(self, gen, params, monkeypatch):
+        self.check(Lattice(gen), params, monkeypatch)
+
+    def test_bundled_tilings_are_one_cyclic_lane(self):
+        for (n, e, s), lat in BUNDLED_TILINGS.items():
+            diag = smith_normal_form(lat.gen)[0]
+            assert diag[:-1] == (1,) * (n - 1) and diag[-1] == lat.det_abs
 
 
 class TestUnimodularInvariance:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import lmlab.lattice
+import lmlab.search
 from lmlab import (
     BallParams,
     CapExceededError,
@@ -108,6 +110,86 @@ class TestSearchPerfectLattices:
                         tuple(tuple(row[j] for j in perm) for row in lat.gen)
                     )
                     assert verify_lattice_tiling(permuted, params).verdict == "tiles"
+
+
+def tilings_by_verification(params):
+    """The search the HNF kernel replaces: ``verify_lattice_tiling`` on every candidate."""
+    candidates = enumerate_sublattices(params.n, ball_volume(params))
+    found = [lat for lat in candidates if verify_lattice_tiling(lat, params).verdict == "tiles"]
+    return sorted(found, key=lambda lat: lat.gen)
+
+
+def symmetric_grid(n, max_volume):
+    """Every symmetric ball of dimension n and volume at most ``max_volume``."""
+    grid = [BallParams.symmetric(n, 0, 1)]
+    for e in range(1, n + 1):
+        s = 1
+        while ball_volume(BallParams.symmetric(n, e, s)) <= max_volume:
+            grid.append(BallParams.symmetric(n, e, s))
+            s += 1
+    return grid
+
+
+def in_hnf(rows, vec):
+    """Membership in an upper triangular lattice by back-substitution."""
+    w = list(vec)
+    for i, row in enumerate(rows):
+        q, r = divmod(w[i], row[i])
+        if r:
+            return False
+        w = [a - q * b for a, b in zip(w, row)]
+    return True
+
+
+class TestSearchAgainstVerification:
+    # Volume limits per dimension keep the reference, one SNF per candidate,
+    # near 14,000 candidates in all.
+    @pytest.mark.parametrize("n,max_volume", [(1, 300), (2, 100), (3, 40), (4, 17)])
+    def test_symmetric_grid(self, n, max_volume):
+        for params in symmetric_grid(n, max_volume):
+            assert search_perfect_lattices(params) == tilings_by_verification(params), params
+
+    @pytest.mark.parametrize("params", [BallParams(2, 2, 3, 1), BallParams(3, 2, 1, 0)])
+    def test_asymmetric_balls(self, params):
+        found = search_perfect_lattices(params)
+        assert found and found == tilings_by_verification(params)
+
+    @pytest.mark.parametrize("n,e,s", [(3, 1, 1), (2, 2, 2), (3, 3, 1), (4, 1, 2)])
+    def test_sign_flips_are_found(self, n, e, s):
+        found = search_perfect_lattices(BallParams.symmetric(n, e, s))
+        assert found
+        for lat in found:
+            for k in range(n):
+                flipped = Lattice(
+                    tuple(tuple(-x if j == k else x for j, x in enumerate(row)) for row in lat.gen)
+                )
+                match = [m for m in found if all(in_hnf(m.gen, row) for row in flipped.gen)]
+                assert len(match) == 1, (lat, k)
+                assert all(match[0].contains(row) for row in flipped.gen)
+                assert all(flipped.contains(row) for row in match[0].gen)
+
+    def test_never_computes_a_smith_normal_form(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("smith_normal_form called")
+
+        monkeypatch.setattr(lmlab.lattice, "smith_normal_form", fail)
+        with pytest.raises(AssertionError):
+            verify_lattice_tiling(CROSS, P211)
+        assert [lat.to_text() for lat in search_perfect_lattices(P211)] == ["1,2;0,5", "1,3;0,5"]
+        assert len(search_perfect_lattices(BallParams.symmetric(4, 1, 2))) == 96
+
+    def test_parameters_are_checked_before_the_ball_is_built(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("ball enumerated")
+
+        monkeypatch.setattr(lmlab.search, "iter_ball_coords", fail)
+        for params in (BallParams.symmetric(5, 1, 1), BallParams.symmetric(5, 5, 30)):
+            with pytest.raises(InvalidParameterError, match="1 <= n <= 4"):
+                search_perfect_lattices(params)
+        # 11^4 = 14,641 and 81^4 (a ball past the 10^7 enumeration cap).
+        for s, index in ((5, 14641), (40, 81**4)):
+            with pytest.raises(CapExceededError, match=f"index {index} exceeds the enumeration cap"):
+                search_perfect_lattices(BallParams.symmetric(4, 4, s))
 
 
 class TestVerifyWindowPacking:
