@@ -10,6 +10,11 @@ All arithmetic is exact: volumes are arbitrary-precision integers, ratio
 bounds are ``fractions.Fraction`` values, and enumeration yields every ball
 vector exactly once in lexicographic coordinate order.  No floating point
 enters this module.
+
+One walk decides that order.  It combines per-coordinate images of the
+values with an associative ``plus``: tuple concatenation for
+``iter_ball_coords``, lane-wise addition of coset keys for lattice
+verification, so the two streams agree vector for vector by construction.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     CapExceededError,
@@ -37,6 +42,14 @@ def _require_int(name: str, value: object, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise InvalidParameterError(f"{name} must be >= {minimum}, got {value}")
     return value
+
+
+def _require_ints(name: str, values: Iterable[object]) -> tuple[int, ...]:
+    """``values`` as a tuple of ints, each checked by ``_require_int``'s rule."""
+    values = tuple(values)
+    if {type(v) for v in values} - {int}:
+        values = tuple([int(_require_int(name, v)) for v in values])
+    return values
 
 
 @dataclass(frozen=True)
@@ -87,7 +100,7 @@ class IntVector:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", _require_ints("coordinate", self.coords))
 
     def __len__(self) -> int:
         return len(self.coords)
@@ -118,25 +131,65 @@ def ball_volume(params: BallParams) -> int:
     return sum(comb(params.n, i) * span**i for i in range(params.e + 1))
 
 
+#: Suffix lists of the lex walk are materialized up to about this many
+#: images; longer balls are walked prefix by prefix, so a consumer that stops
+#: early (a coset collision) leaves the rest of the ball unbuilt.
+_WALK_BLOCK = 1 << 11
+
+
+def _lex_walk(
+    steps: list[tuple[list, list, list]], e: int, plus: Callable[[list, list], list]
+) -> Iterator[list]:
+    """Images of the ball vectors in lexicographic order, yielded in blocks.
+
+    ``steps[i]`` holds the images of the values at coordinate i: the
+    negative ones in increasing order, then [image of 0], then the positive
+    ones.  ``plus(xs, ys)`` is ``[x + y for x in xs for y in ys]`` for an
+    associative ``+`` that combines the images of a prefix and a suffix of
+    coordinates.  A vector's image is the sum of its coordinates' images.
+    """
+    n = len(steps)
+    neg, zero, pos = steps[-1]
+    # tails[b]: images of the suffix from coordinate ``split`` on with at most
+    # b nonzero entries, in lex order: [c + tail(b-1) for c < 0] + tail(b) +
+    # [c + tail(b-1) for c > 0].  Budgets past the suffix length share a list.
+    tails = [zero] + [neg + zero + pos] * e
+    split = n - 1
+    while split and len(tails[e]) < _WALK_BLOCK:
+        split -= 1
+        neg, zero, pos = steps[split]
+        full = min(e, n - split)
+        tails = [plus(zero, tails[0])] + [
+            plus(neg, tails[b - 1]) + plus(zero, tails[b]) + plus(pos, tails[b - 1])
+            for b in range(1, full + 1)
+        ]
+        tails += tails[-1:] * (e - full)
+
+    def blocks(i: int, budget: int, head: list | None) -> Iterator[list]:
+        # head: [image of coordinates < i], or None when i == 0
+        if i == split:
+            yield tails[budget] if head is None else plus(head, tails[budget])
+            return
+        for images, left in zip(steps[i], (budget - 1, budget, budget - 1)):
+            if left >= 0:
+                for c in images if head is None else plus(head, images):
+                    yield from blocks(i + 1, left, [c])
+
+    return blocks(0, e, None)
+
+
 def iter_ball_coords(params: BallParams, cap: int = DEFAULT_ENUM_CAP) -> Iterator[tuple[int, ...]]:
-    """Yield each ball vector once, as a raw tuple, in lexicographic order."""
+    """Yield each ball vector once, as a raw tuple, in lexicographic order.
+
+    The cap is checked on the call, not on the first ``next()``.
+    """
     volume = ball_volume(params)
     if volume > cap:
         raise CapExceededError(f"ball volume {volume} exceeds the enumeration cap {cap}")
-    lo, hi = -params.kminus, params.kplus
-    n = params.n
-
-    def rec(prefix: tuple[int, ...], budget: int, i: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield prefix
-            return
-        if budget == 0:
-            yield prefix + (0,) * (n - i)
-            return
-        for v in range(lo, hi + 1):
-            yield from rec(prefix + (v,), budget - (v != 0), i + 1)
-
-    return rec((), params.e, 0)
+    values = [(v,) for v in range(-params.kminus, params.kplus + 1)]
+    step = (values[: params.kminus], [(0,)], values[params.kminus + 1 :])
+    blocks = _lex_walk([step] * params.n, params.e, lambda xs, ys: [x + y for x in xs for y in ys])
+    return (w for block in blocks for w in block)
 
 
 @lru_cache(maxsize=64)

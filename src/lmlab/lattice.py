@@ -3,12 +3,13 @@
 A full-rank sublattice L of Z^n is given by an n x n integer generator
 matrix whose rows are basis vectors.  Verification never searches: the
 quotient group Z^n / L is computed exactly through one Smith normal form
-per call, every ball vector is mapped to an integer key that names its
-coset, and a packing is certified by injectivity of that map.  The key
-packs the nontrivial cyclic factors of the group side by side in one Python
-integer, and the keys of the whole ball are built suffix by suffix with one
-addition and one masked subtraction per vector.  A packing is a tiling
-exactly when the ball volume equals the group index |det L|.
+per lattice, cached on it, which also gives the index |det L|.  Every ball
+vector is mapped to an integer key that names its coset, and a packing is
+certified by injectivity of that map.  The key packs the nontrivial cyclic
+factors of the group side by side in one Python integer; the keys of the
+whole ball come from the lex walk that ``iter_ball_coords`` is built on,
+at one addition and one masked subtraction per vector.  A packing is a
+tiling exactly when the ball volume equals the group index.
 
 Generator matrices are accepted in any basis; no canonical form is imposed
 on input (two generator matrices describe the same lattice whenever one is a
@@ -20,13 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from math import prod
 from typing import Iterator, Sequence
 
 from .core import (
     DEFAULT_ENUM_CAP,
     BallParams,
     IntVector,
+    _lex_walk,
+    _require_ints,
     ball_volume,
     iter_ball_coords,
 )
@@ -44,36 +47,14 @@ VERDICT_FAILS = "fails"
 
 
 def _as_matrix(rows: Sequence[Sequence[int]]) -> Matrix:
-    mat = tuple([tuple(map(int, row)) for row in rows])
+    mat = tuple(map(tuple, rows))
     n = len(mat)
     if n == 0 or {len(row) for row in mat} != {n}:
         raise InvalidParameterError("generator matrix must be square and nonempty")
+    # One set for the whole matrix: this runs once per HNF candidate in a search.
+    if {type(x) for row in mat for x in row} != {int}:
+        mat = tuple([_require_ints("matrix entry", row) for row in mat])
     return mat
-
-
-def _abs_determinant(mat: Matrix) -> int:
-    """Fraction-free (Bareiss) determinant, exact on arbitrary integers."""
-    m = [list(row) for row in mat]
-    n = len(m)
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return abs(m[-1][-1])
-
-
-def _identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def smith_normal_form(
@@ -85,10 +66,9 @@ def smith_normal_form(
     divides the next.  Zero diagonal entries appear exactly when the matrix
     is singular.
     """
-    a = [list(map(int, row)) for row in _as_matrix(mat)]
+    a = [list(row) for row in _as_matrix(mat)]
     n = len(a)
-    u = _identity(n)
-    v = _identity(n)
+    u, v = ([[int(i == j) for j in range(n)] for i in range(n)] for _ in range(2))
 
     def swap_rows(i: int, j: int) -> None:
         if i != j:
@@ -172,22 +152,15 @@ class Lattice:
     def from_text(cls, text: str) -> "Lattice":
         """Parse the shared text format: rows split by ';', entries by ','."""
         try:
-            rows = [
-                [int(entry) for entry in row.split(",")]
-                for row in text.strip().split(";")
-            ]
+            rows = [[int(entry) for entry in row.split(",")] for row in text.strip().split(";")]
         except ValueError as exc:
             raise InvalidParameterError(f"cannot parse lattice text {text!r}") from exc
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(rows)
 
     @classmethod
     def diagonal(cls, entries: Sequence[int]) -> "Lattice":
         n = len(entries)
-        return cls(
-            tuple(
-                tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)
-            )
-        )
+        return cls([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     def to_text(self) -> str:
         return ";".join(",".join(str(x) for x in row) for row in self.gen)
@@ -197,8 +170,13 @@ class Lattice:
         return len(self.gen)
 
     @cached_property
+    def _snf(self) -> tuple[tuple[int, ...], list[list[int]], list[list[int]]]:
+        """The one Smith normal form of the generators, shared by every use."""
+        return smith_normal_form(self.gen)
+
+    @cached_property
     def det_abs(self) -> int:
-        det = _abs_determinant(self.gen)
+        det = prod(self._snf[0])
         if det == 0:
             raise SingularMatrixError(f"generator matrix {self.to_text()} is singular")
         return det
@@ -207,19 +185,21 @@ class Lattice:
         """Exact membership test by solving x * gen = vec over the rationals.
 
         Independent of the quotient-map machinery on purpose, so the two can
-        be checked against each other.
+        be checked against each other: singular generators are detected by
+        this elimination itself, never by the Smith normal form.
         """
-        target = list(vec.coords if isinstance(vec, IntVector) else vec)
+        target = _require_ints("coordinate", vec)
         if len(target) != self.n:
             raise DimensionMismatchError(
                 f"vector length {len(target)} does not match dimension {self.n}"
             )
-        self.det_abs  # noqa: B018  (raises on singular input)
         n = self.n
         # Solve the transposed system with Gaussian elimination over Fractions.
         aug = [[Fraction(self.gen[i][j]) for i in range(n)] + [Fraction(target[j])] for j in range(n)]
         for col in range(n):
-            pivot_row = next(r for r in range(col, n) if aug[r][col] != 0)
+            pivot_row = next((r for r in range(col, n) if aug[r][col] != 0), None)
+            if pivot_row is None:
+                raise SingularMatrixError(f"generator matrix {self.to_text()} is singular")
             aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
             inv = 1 / aug[col][col]
             aug[col] = [x * inv for x in aug[col]]
@@ -242,14 +222,14 @@ class QuotientMap:
 
     def __init__(self, lattice: Lattice):
         lattice.det_abs  # noqa: B018  (fail fast on singular generators)
-        diag, _, v = smith_normal_form(lattice.gen)
+        diag, _, v = lattice._snf
         n = lattice.n
         self._n = n
         self._diag = diag
         self._cols = [tuple(v[i][j] for i in range(n)) for j in range(n)]
 
     def residue(self, vec: IntVector | Sequence[int]) -> tuple[int, ...]:
-        w = vec.coords if isinstance(vec, IntVector) else tuple(vec)
+        w = _require_ints("coordinate", vec)
         if len(w) != self._n:
             raise DimensionMismatchError(
                 f"vector length {len(w)} does not match dimension {self._n}"
@@ -285,11 +265,6 @@ class VerificationResult:
         }
 
 
-#: Suffix key lists are materialized up to about this many keys; longer
-#: balls are walked prefix by prefix, so an early collision stops the work.
-_KEY_BLOCK = 1 << 12
-
-
 def _coset_keys(lattice: Lattice, params: BallParams) -> Iterator[int]:
     """Integer coset keys of the ball vectors, in ``iter_ball_coords`` order.
 
@@ -300,9 +275,10 @@ def _coset_keys(lattice: Lattice, params: BallParams) -> Iterator[int]:
     vectors are congruent modulo the lattice exactly when their keys are
     equal.  Adding two keys lane by lane modulo D is one addition and one
     masked subtraction: a lane holding at least D reaches its top bit once
-    ``bias`` adds 2^(width-1) - D to it.
+    ``bias`` adds 2^(width-1) - D to it.  The keys follow the ball's lex
+    order through the walk that ``iter_ball_coords`` is built on.
     """
-    diag, _, v = smith_normal_form(lattice.gen)
+    diag, _, v = lattice._snf
     big = diag[-1]
     lanes = [(j, big // d) for j, d in enumerate(diag) if d > 1]
     width = big.bit_length() + 1
@@ -321,40 +297,12 @@ def _coset_keys(lattice: Lattice, params: BallParams) -> Iterator[int]:
             images += plus(images, [images[-1]])
         return images[:count]
 
-    # steps[i]: the packed images of the negative values at coordinate i, in
-    # lex order (-kminus first), and of the positive values.
     steps = []
     for row in v:
         unit = [row[j] * scale for j, scale in lanes]
         neg = multiples([-u for u in unit], params.kminus)[::-1]
-        steps.append((neg, multiples(unit, params.kplus)))
-
-    # tails[b]: keys of the suffix from coordinate ``split`` on, with at most b
-    # nonzero entries, in lex order: [c + tail(b-1) for c < 0] + tail(b) + [c > 0].
-    n, e = params.n, params.e
-    tails = [[0]] * (e + 1)
-    split = n
-    while split and len(tails[e]) < _KEY_BLOCK:
-        split -= 1
-        neg, pos = steps[split]
-        tails = [[0]] + [
-            plus(neg, tails[b - 1]) + tails[b] + plus(pos, tails[b - 1]) for b in range(1, e + 1)
-        ]
-
-    def blocks(i: int, budget: int, key: int) -> Iterator[list[int]]:
-        if i == split:
-            yield plus([key], tails[budget])
-        elif budget == 0:
-            yield [key]
-        else:
-            neg, pos = steps[i]
-            for c in plus(neg, [key]):
-                yield from blocks(i + 1, budget - 1, c)
-            yield from blocks(i + 1, budget, key)
-            for c in plus(pos, [key]):
-                yield from blocks(i + 1, budget - 1, c)
-
-    return chain.from_iterable(blocks(0, e, 0))
+        steps.append((neg, [0], multiples(unit, params.kplus)))
+    return (key for block in _lex_walk(steps, params.e, plus) for key in block)
 
 
 def verify_lattice_packing(

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import BallParams, IntVector, _require_int, ball_volume, iter_ball_coords
+from .core import BallParams, IntVector, _require_int, _require_ints, ball_volume, iter_ball_coords
 from .errors import (
     CapExceededError,
     DimensionMismatchError,
@@ -31,12 +31,6 @@ from .errors import (
 DEFAULT_CELL_CAP = 10**6
 #: Default guardrail for the difference-set equivalence oracle (vector pairs).
 DEFAULT_PAIR_CAP = 10**6
-
-
-def _coords(v: IntVector | Sequence[int]) -> tuple[int, ...]:
-    if isinstance(v, IntVector):
-        return v.coords
-    return tuple(int(c) for c in v)
 
 
 @dataclass(frozen=True)
@@ -57,7 +51,7 @@ class Code:
 
     @classmethod
     def from_coords(cls, words: Iterable[Sequence[int]], n: int | None = None) -> "Code":
-        vectors = tuple(IntVector(_coords(w)) for w in words)
+        vectors = tuple(IntVector(w) for w in words)
         if n is None:
             if not vectors:
                 raise InvalidParameterError("cannot infer dimension of an empty code")
@@ -74,7 +68,7 @@ class Code:
 def channel_distance(x: IntVector | Sequence[int], y: IntVector | Sequence[int], s: int) -> int:
     """Channel distance between ``x`` and ``y`` for magnitude bound ``s``."""
     _require_int("s", s, 1)
-    xs, ys = _coords(x), _coords(y)
+    xs, ys = _require_ints("coordinate", x), _require_ints("coordinate", y)
     if len(xs) != len(ys):
         raise DimensionMismatchError(f"vector lengths differ: {len(xs)} vs {len(ys)}")
     n = len(xs)

@@ -27,6 +27,7 @@ from .core import (
     BallParams,
     IntVector,
     _require_int,
+    _require_ints,
     ball_volume,
     iter_ball_coords,
 )
@@ -142,7 +143,7 @@ def _normalize_translates(
 ) -> list[tuple[int, ...]]:
     out = []
     for t in translates:
-        coords = t.coords if isinstance(t, IntVector) else tuple(int(x) for x in t)
+        coords = _require_ints("coordinate", t)
         if len(coords) != n:
             raise DimensionMismatchError(
                 f"translate {coords} has length {len(coords)}, expected {n}"
@@ -172,6 +173,7 @@ def lattice_points_in_window(
     lattice: Lattice, window: int, cap: int = DEFAULT_ENUM_CAP
 ) -> list[tuple[int, ...]]:
     """All lattice points inside [-window, window]^n, in lexicographic order."""
+    _require_int("window", window, 0)
     n = lattice.n
     cells = (2 * window + 1) ** n
     if cells > cap:

@@ -1,15 +1,19 @@
 import itertools
+import types
 from fractions import Fraction
 from math import comb
 
 import pytest
 
+import lmlab.core
 from lmlab import (
     BallParams,
     CapExceededError,
     HypothesesUnmetError,
     IntVector,
     InvalidParameterError,
+    Lattice,
+    QuotientMap,
     ball_volume,
     bound_asymptotic,
     bound_large_s,
@@ -21,6 +25,7 @@ from lmlab import (
     density_bound_asymptotic,
     enumerate_sublattices,
     form_envelope,
+    lattice_points_in_window,
     packing_density_bound,
     pair_weight_matrix,
     iter_ball_coords,
@@ -37,6 +42,34 @@ def brute_ball(n, e, kplus, kminus):
         if sum(1 for c in v if c) <= e:
             out.append(v)
     return out
+
+
+def recursive_ball(params):
+    """The recursive lex enumeration that the shared walk replaced."""
+    lo, hi, n = -params.kminus, params.kplus, params.n
+
+    def rec(prefix, budget, i):
+        if i == n:
+            yield prefix
+            return
+        if budget == 0:
+            yield prefix + (0,) * (n - i)
+            return
+        for v in range(lo, hi + 1):
+            yield from rec(prefix + (v,), budget - (v != 0), i + 1)
+
+    return rec((), params.e, 0)
+
+
+def small_balls(max_volume=20_000):
+    """Every ball with n <= 6, 0 <= kminus <= kplus <= 3 and volume <= max_volume."""
+    for n in range(1, 7):
+        for e in range(n + 1):
+            for kminus in range(4):
+                for kplus in range(max(kminus, e > 0), 4):
+                    params = BallParams(n, e, kplus, kminus)
+                    if ball_volume(params) <= max_volume:
+                        yield params
 
 
 class TestBallParams:
@@ -130,8 +163,22 @@ class TestEnumerateBall:
         assert all(tuple(-c for c in v) in cells for v in cells)
 
     def test_cap(self):
+        # Raised by the call itself, before the first vector is asked for.
         with pytest.raises(CapExceededError):
-            list(iter_ball_coords(BallParams.symmetric(3, 1, 1), cap=5))
+            iter_ball_coords(BallParams.symmetric(3, 1, 1), cap=5)
+
+    def test_is_a_generator(self):
+        assert isinstance(iter_ball_coords(P211), types.GeneratorType)
+
+    def test_matches_the_recursive_walk(self, monkeypatch):
+        blocks = (1, 2, 3, 7, lmlab.core._WALK_BLOCK)
+        balls = list(small_balls())
+        assert len(balls) == 244
+        for params in balls:
+            expected = list(recursive_ball(params))
+            for block in blocks:
+                monkeypatch.setattr(lmlab.core, "_WALK_BLOCK", block)
+                assert list(iter_ball_coords(params)) == expected, (params, block)
 
     def test_streams_restart_independently(self):
         p = BallParams.symmetric(2, 1, 1)
@@ -219,6 +266,18 @@ P211 = BallParams.symmetric(2, 1, 1)
         pytest.param(lambda: bound_large_s(100, 40, 4.0), id="bound_large_s"),
         pytest.param(lambda: bound_lattice_cases(10, 6, True, True), id="bound_lattice_cases"),
         pytest.param(lambda: table_row(True, "1/10"), id="table_row"),
+        pytest.param(lambda: Lattice(((2.5, 0), (0, 1))), id="Lattice-float"),
+        pytest.param(lambda: Lattice(((True, 0), (0, 1))), id="Lattice-bool"),
+        pytest.param(lambda: IntVector((1.5, 0)), id="IntVector-float"),
+        pytest.param(lambda: IntVector((True, 0)), id="IntVector-bool"),
+        pytest.param(lambda: channel_distance((1.5,), (0,), 1), id="channel_distance-float"),
+        pytest.param(lambda: channel_distance((True,), (0,), 1), id="channel_distance-bool"),
+        pytest.param(lambda: verify_window_packing([(0.5, 0)], P211, 2), id="verify_window_packing-float"),
+        pytest.param(lambda: Lattice.diagonal((1, 1)).contains((0.5, 0)), id="Lattice.contains-float"),
+        pytest.param(lambda: Lattice.diagonal((1, 1)).contains((True, 0)), id="Lattice.contains-bool"),
+        pytest.param(lambda: QuotientMap(Lattice.diagonal((2, 2))).residue((1.0, 0)), id="residue-float"),
+        pytest.param(lambda: QuotientMap(Lattice.diagonal((2, 2))).residue((True, 0)), id="residue-bool"),
+        pytest.param(lambda: lattice_points_in_window(Lattice.diagonal((2, 2)), True), id="lattice_points_in_window"),
     ],
 )
 def test_bool_is_not_an_integer_parameter(call):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import lmlab.core
 import lmlab.lattice
 from lmlab import (
     BUNDLED_TILINGS,
@@ -95,6 +96,16 @@ class TestDeterminant:
                     Lattice(rows).det_abs  # noqa: B018
             else:
                 assert Lattice(rows).det_abs == expected
+
+    def test_contains_decides_singularity_without_smith_normal_form(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("smith_normal_form called")
+
+        monkeypatch.setattr(lmlab.lattice, "smith_normal_form", fail)
+        for rows in (((1, 0), (0, 0)), ((2, 4), (1, 2)), ((1, 2, 3), (4, 5, 6), (7, 8, 9))):
+            with pytest.raises(SingularMatrixError):
+                Lattice(rows).contains((0,) * len(rows))
+        assert Lattice(((1, 2), (2, -1))).contains((3, 1))
 
 
 class TestSmithNormalForm:
@@ -233,6 +244,19 @@ class TestVerification:
             if packing.verdict == "packs" and lattice_density(lat, P211) == 1:
                 assert tiling.verdict == "tiles"
 
+    def test_one_smith_normal_form_per_verification(self, monkeypatch):
+        calls = []
+
+        def counted(mat):
+            calls.append(mat)
+            return smith_normal_form(mat)
+
+        monkeypatch.setattr(lmlab.lattice, "smith_normal_form", counted)
+        lattice = Lattice(((3, 1, 2), (0, 4, 1), (1, 0, 5)))
+        result = verify_lattice_tiling(lattice, BallParams.symmetric(3, 1, 2))
+        assert result.index == 53  # det_abs, from the same cached form
+        assert len(calls) == 1
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             verify_lattice_packing(CROSS, BallParams.symmetric(3, 1, 1))
@@ -286,9 +310,9 @@ class TestCosetKeys:
         if expected.witness is not None:
             a, b = expected.witness
             assert lattice.contains([x - y for x, y in zip(a, b)])
-        # A tiny key block walks ball prefixes instead of materializing the suffix lists.
-        for block in (lmlab.lattice._KEY_BLOCK, 3):
-            monkeypatch.setattr(lmlab.lattice, "_KEY_BLOCK", block)
+        # A tiny walk block walks ball prefixes instead of materializing the suffix lists.
+        for block in (lmlab.core._WALK_BLOCK, 3):
+            monkeypatch.setattr(lmlab.core, "_WALK_BLOCK", block)
             assert verify_lattice_tiling(lattice, params) == expected, (lattice, params)
         return expected.verdict
 

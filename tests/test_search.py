@@ -37,7 +37,16 @@ class TestEnumerateSublattices:
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_prime_count_in_plane(self, p):
-        assert sum(1 for _ in enumerate_sublattices(2, p)) == p + 1
+        # Index-p sublattices of Z^n are the hyperplanes of F_p^n: (p^n - 1)/(p - 1).
+        for n in range(1, 5):
+            assert sum(1 for _ in enumerate_sublattices(n, p)) == (p**n - 1) // (p - 1)
+
+    @pytest.mark.parametrize("n,expected", [(1, 1), (2, 28), (3, 455), (4, 6200)])
+    def test_count_is_multiplicative_on_coprime_indexes(self, n, expected):
+        def count(index):
+            return sum(1 for _ in enumerate_sublattices(n, index))
+
+        assert count(12) == count(4) * count(3) == expected
 
     @pytest.mark.parametrize("index,expected", [(2, 7), (3, 13), (4, 35)])
     def test_known_counts_dimension_three(self, index, expected):
@@ -174,7 +183,8 @@ class TestSearchAgainstVerification:
 
         monkeypatch.setattr(lmlab.lattice, "smith_normal_form", fail)
         with pytest.raises(AssertionError):
-            verify_lattice_tiling(CROSS, P211)
+            # A fresh lattice: CROSS may hold its cached SNF from an earlier test.
+            verify_lattice_tiling(Lattice(CROSS.gen), P211)
         assert [lat.to_text() for lat in search_perfect_lattices(P211)] == ["1,2;0,5", "1,3;0,5"]
         assert len(search_perfect_lattices(BallParams.symmetric(4, 1, 2))) == 96
 
@@ -254,6 +264,11 @@ class TestEstimateDensity:
         assert estimate_density([(0, 0), (99, 99)], P211, 5) == Fraction(
             ball_volume(P211), 121
         )
+
+    @pytest.mark.parametrize("window", [True, 2.0, -1])
+    def test_window_is_checked(self, window):
+        with pytest.raises(InvalidParameterError, match="window"):
+            lattice_points_in_window(CROSS, window)
 
     def test_window_count_matches_membership(self):
         points = lattice_points_in_window(CROSS, 6)
