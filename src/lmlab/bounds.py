@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .core import _require_int
+from .core import _decimal, _require_int
 from .errors import BoundaryUncertainError, InvalidParameterError
 from .intervals import Interval, ceil_of, compare_ge
 from .lattice import BUNDLED_TILINGS
@@ -402,7 +402,7 @@ def bound_lattice_cases(n: int, e: int, kplus: int, kminus: int) -> CriterionOut
         rhs = (kplus + 1) ** e
         cases = {
             "(4n-2)/5<=e<=n-1,k=1": 5 * e >= 4 * n - 2 and e <= n - 1 and kplus == 1,
-            f"n/2<=e<(4n-2)/5,sum={lhs}>=({kplus}+1)^e={rhs}": (
+            f"n/2<=e<(4n-2)/5,sum={_decimal(lhs)}>=({kplus}+1)^e={_decimal(rhs)}": (
                 2 * e >= n and 5 * e < 4 * n - 2 and lhs >= rhs
             ),
         }

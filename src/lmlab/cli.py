@@ -21,6 +21,7 @@ from . import bounds
 from .core import (
     DEFAULT_ENUM_CAP,
     BallParams,
+    _decimal,
     ball_volume,
     iter_ball_coords,
 )
@@ -129,8 +130,8 @@ def _ball_params(args: argparse.Namespace) -> BallParams:
 # handlers
 
 def _cmd_ball(args: argparse.Namespace) -> Report:
-    volume = ball_volume(_ball_params(args))
-    return Report({"volume": str(volume)}, [str(volume)])
+    volume = _decimal(ball_volume(_ball_params(args)))
+    return Report({"volume": volume}, [volume])
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> Report:

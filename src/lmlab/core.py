@@ -52,6 +52,23 @@ def _require_ints(name: str, values: Iterable[object]) -> tuple[int, ...]:
     return values
 
 
+def _decimal(value: int) -> str:
+    """``str(value)``, also for ints past the interpreter's int-to-str limit.
+
+    Longer numbers are split at a power of ten near half their digits and
+    converted piece by piece, so the process-wide limit is never raised.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        pass
+    if value < 0:
+        return "-" + _decimal(-value)
+    half = value.bit_length() * 3 // 20  # log10(2) > 3/10
+    high, low = divmod(value, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
 @dataclass(frozen=True)
 class BallParams:
     """Parameters ``(n, e, kplus, kminus)`` of an error ball.

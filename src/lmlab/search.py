@@ -3,12 +3,20 @@
 Sublattices of Z^n of a given index are enumerated through their Hermite
 normal forms (upper triangular, positive diagonal, entries above a diagonal
 reduced modulo it), one representative per sublattice, in lexicographic
-order by diagonal and then by the off-diagonal entries.  A perfect-code
-search enumerates the ball once and tests each candidate of index equal to
-the ball volume by back-substitution on its triangular rows: every ball
-vector is reduced to the canonical box [0, d_1) x ... x [0, d_n), and the
-candidate tiles exactly when no two reductions agree.  No Smith normal form
-is needed, and most candidates fail after a few vectors.
+order by diagonal and then by the off-diagonal entries.
+
+A perfect-code search builds the same bases bottom-up instead: first the
+last row, then the row above it, and so on.  For an upper triangular basis,
+L meets 0^i x Z^(n-i) in the lattice of rows i..n-1, so two ball vectors
+supported on coordinates i..n-1 that these rows do not separate collide in
+every completion, and the partial basis is pruned there.  A vector is
+reduced into [0, d_i) x ... x [0, d_(n-1)) by back-substitution on the
+rows and read as a mixed-radix key.  A vector with w_i = 0 keeps its key
+when row i is prepended, so each level passes its key set down and reduces
+only the vectors whose first nonzero coordinate is i; level 0 covers the
+whole ball, which is the tiling test itself.  A diagonal entry is skipped
+when fewer cosets remain than ball vectors supported below it.  No Smith
+normal form is needed.
 
 Window verification and density estimation are deliberately independent of
 the quotient-group machinery: they place balls cell by cell inside a finite
@@ -62,6 +70,17 @@ def _ordered_factorizations(index: int, parts: int) -> Iterator[tuple[int, ...]]
             yield (d,) + rest
 
 
+def _check_sublattice_args(n: int, index: int, index_cap: int) -> None:
+    """The dimension and index checks of the enumerator and the search."""
+    if not 1 <= _require_int("n", n) <= MAX_SEARCH_DIMENSION:
+        raise InvalidParameterError(
+            f"sublattice enumeration supports 1 <= n <= {MAX_SEARCH_DIMENSION}, got {n}"
+        )
+    _require_int("index", index, 1)
+    if index > index_cap:
+        raise CapExceededError(f"index {index} exceeds the enumeration cap {index_cap}")
+
+
 def enumerate_sublattices(
     n: int, index: int, index_cap: int = DEFAULT_INDEX_CAP
 ) -> Iterator[Lattice]:
@@ -73,13 +92,7 @@ def enumerate_sublattices(
     entries read row by row.  ``n`` and ``index`` are checked on the call,
     before the first lattice is asked for.
     """
-    if not 1 <= _require_int("n", n) <= MAX_SEARCH_DIMENSION:
-        raise InvalidParameterError(
-            f"sublattice enumeration supports 1 <= n <= {MAX_SEARCH_DIMENSION}, got {n}"
-        )
-    _require_int("index", index, 1)
-    if index > index_cap:
-        raise CapExceededError(f"index {index} exceeds the enumeration cap {index_cap}")
+    _check_sublattice_args(n, index, index_cap)
     # Row i holds the n - 1 - i free entries right after its diagonal element.
     starts = [sum(n - 1 - k for k in range(i)) for i in range(n + 1)]
 
@@ -94,29 +107,34 @@ def enumerate_sublattices(
     return hnf()
 
 
-def _separates(rows: tuple[tuple[int, ...], ...], ball: list[tuple[int, ...]]) -> bool:
-    """Whether no two ball vectors are congruent modulo the HNF lattice ``rows``.
+def _level_keys(
+    rows: list, i: int, vectors: list[tuple[int, ...]], seen: frozenset[int]
+) -> frozenset[int] | None:
+    """``seen`` plus the keys of ``vectors`` modulo HNF rows i..n-1, or None.
 
-    Reduces each vector into [0, d_1) x ... x [0, d_n) by back-substitution
-    on the upper triangular rows (divide by d_i, subtract q * row_i) and
-    reads the reduced vector as a mixed-radix key.
+    Each vector, zero before coordinate i, is reduced into
+    [0, d_i) x ... x [0, d_(n-1)) by back-substitution on the upper
+    triangular rows (divide by d_k, subtract q * row_k) and read as a
+    mixed-radix key.  None means a collision: two equal keys, or a key
+    already in ``seen``.
     """
     n = len(rows)
-    seen = set()
-    for w in ball:
+    keys = set()
+    for w in vectors:
         w = list(w)
         key = 0
-        for i, row in enumerate(rows):
-            d = row[i]
-            q, r = divmod(w[i], d)
+        for k in range(i, n):
+            row = rows[k]
+            d = row[k]
+            q, r = divmod(w[k], d)
             key = key * d + r
             if q:
-                for j in range(i + 1, n):
+                for j in range(k + 1, n):
                     w[j] -= q * row[j]
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+        if key in seen or key in keys:
+            return None
+        keys.add(key)
+    return seen | keys
 
 
 def search_perfect_lattices(
@@ -126,14 +144,41 @@ def search_perfect_lattices(
 ) -> list[Lattice]:
     """All HNF lattices of index |ball| whose translates tile Z^n by the ball.
 
-    The candidate set is exhaustive, so the returned list is the complete
+    The search is exhaustive, so the returned list is the complete
     collection of perfect lattice codes for these parameters (one canonical
-    generator per lattice), sorted canonically.  A candidate of index |ball|
-    tiles exactly when it separates the ball's vectors into distinct cosets.
+    generator per lattice), sorted canonically.  Bases are built from the
+    last row up, and a partial basis is dropped as soon as its rows fail to
+    separate the ball vectors supported on their coordinates; a full basis
+    of index |ball| that separates the whole ball tiles.
     """
-    candidates = enumerate_sublattices(params.n, ball_volume(params), index_cap)
-    ball = list(iter_ball_coords(params, cap))
-    found = [lattice for lattice in candidates if _separates(lattice.gen, ball)]
+    n, index = params.n, ball_volume(params)
+    _check_sublattice_args(n, index, index_cap)
+    # fresh[i]: the ball vectors whose first nonzero coordinate is i (zero at n - 1).
+    fresh: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for w in iter_ball_coords(params, cap):
+        fresh[next((i for i, x in enumerate(w) if x), n - 1)].append(w)
+    # supported[i]: how many ball vectors vanish before coordinate i.
+    supported = list(itertools.accumulate(map(len, fresh[::-1])))[::-1]
+    rows: list = [None] * n
+    found = []
+
+    def extend(i: int, seen: frozenset[int], rest: int, cosets: int) -> None:
+        # rest: the index left for d_0 ... d_i; cosets: d_(i+1) ... d_(n-1).
+        ranges = [range(rows[j][j]) for j in range(i + 1, n)]
+        for d in _divisors(rest) if i else (rest,):
+            if supported[i] > d * cosets:  # fewer cosets than vectors to separate
+                continue
+            for offs in itertools.product(*ranges):
+                rows[i] = (0,) * i + (d,) + offs
+                keys = _level_keys(rows, i, fresh[i], seen)
+                if keys is None:
+                    continue
+                if i:
+                    extend(i - 1, keys, rest // d, cosets * d)
+                else:
+                    found.append(Lattice(tuple(rows)))
+
+    extend(n - 1, frozenset(), index, 1)
     found.sort(key=lambda lat: lat.gen)
     return found
 

@@ -44,6 +44,46 @@ class TestBallAndEnumerate:
         assert code == 2 and "error" in err
 
 
+def decimal_digits(value):
+    """Decimal digits of a nonnegative int, one division by 10 at a time."""
+    digits = []
+    while True:
+        value, digit = divmod(value, 10)
+        digits.append("0123456789"[digit])
+        if not value:
+            return "".join(reversed(digits))
+
+
+class TestBigIntegers:
+    """Numbers past the interpreter's int-to-str limit (4,300 digits by default)."""
+
+    def test_ball_volume(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "ball", "--n", "5000", "--e", "5000", "--s", "4")
+        # e = n: the ball is the box [-4, 4]^5000.
+        assert code == 0 and err == ""
+        assert out == decimal_digits(9**5000) + "\n" and len(out) == 4773
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_lattice_case_sum(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(
+            capsys, "classify", "--n", "4600", "--e", "4599", "--s", "4", "--format", "json"
+        )
+        assert code == 0
+        # sum_{i=1..e} C(n, i) (2k)^(i-1) for n = 4600, e = 4599, k = 4.
+        total, term, power = 0, 1, 1
+        for i in range(1, 4600):
+            term = term * (4600 - i + 1) // i
+            total += term * power
+            power *= 8
+        assert len(decimal_digits(total)) > 4300
+        label = f"sum={decimal_digits(total)}>=(4+1)^e={decimal_digits(5**4599)}"
+        cases = [c for c in json.loads(out)["criteria"] if c["name"] == "lattice-tiling-cases"]
+        assert len(cases) == 1 and label in cases[0]["detail"]
+        assert sys.get_int_max_str_digits() == limit
+
+
 class TestDist:
     def test_text(self, capsys):
         code, out, _ = run_cli(capsys, "dist", "--s", "2", "--x", "1,3,4", "--y", "0,0,0")

@@ -131,6 +131,22 @@ class TestBallVolume:
         assert ball_volume(p) == sum(comb(10, i) * 4**i for i in range(4))
 
 
+class TestDecimal:
+    @pytest.mark.parametrize(
+        "value",
+        [0, 7, -7, 10**4299, 10**4300, 10**5000 + 1, -(10**6000) + 12345, 3**20000],
+        ids=lambda v: f"{'-' * (v < 0)}{v.bit_length()}bits",
+    )
+    def test_matches_digit_by_digit(self, value):
+        rest, digits = abs(value), []
+        while True:
+            rest, digit = divmod(rest, 10)
+            digits.append(str(digit))
+            if not rest:
+                break
+        assert lmlab.core._decimal(value) == "-" * (value < 0) + "".join(reversed(digits))
+
+
 class TestEnumerateBall:
     def test_interval(self):
         got = list(iter_ball_coords(BallParams.symmetric(1, 1, 2)))

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from lmlab import (
     ball_volume,
     enumerate_sublattices,
     estimate_density,
+    iter_ball_coords,
     lattice_density,
     lattice_points_in_window,
     search_perfect_lattices,
@@ -200,6 +202,113 @@ class TestSearchAgainstVerification:
         for s, index in ((5, 14641), (40, 81**4)):
             with pytest.raises(CapExceededError, match=f"index {index} exceeds the enumeration cap"):
                 search_perfect_lattices(BallParams.symmetric(4, 4, s))
+
+
+def separates(rows, ball):
+    """The full-ball tiling test the pruned search replaced.
+
+    Reduces each vector into [0, d_1) x ... x [0, d_n) by back-substitution
+    on the upper triangular rows and reads it as a mixed-radix key.
+    """
+    n = len(rows)
+    seen = set()
+    for w in ball:
+        w = list(w)
+        key = 0
+        for i, row in enumerate(rows):
+            d = row[i]
+            q, r = divmod(w[i], d)
+            key = key * d + r
+            if q:
+                for j in range(i + 1, n):
+                    w[j] -= q * row[j]
+        if key in seen:
+            return False
+        seen.add(key)
+    return True
+
+
+def tilings_by_separation(params):
+    """The search before pruning: ``separates`` on every HNF candidate, sorted."""
+    ball = list(iter_ball_coords(params))
+    candidates = enumerate_sublattices(params.n, ball_volume(params))
+    return sorted((lat for lat in candidates if separates(lat.gen, ball)), key=lambda lat: lat.gen)
+
+
+def digest(lattices):
+    text = "\n".join(lat.to_text() for lat in lattices)
+    return len(lattices), hashlib.sha256(text.encode()).hexdigest()
+
+
+#: (n, e, s) -> (count, sha256 of the newline-joined sorted lattice texts),
+#: recorded from the unpruned search.
+SEARCH_GOLDENS = {
+    (4, 1, 2): (96, "b4d54b444a980777a6b48f93ac186bdefb73e9b4811f9d8045745699cb1d4e84"),
+    (4, 1, 1): (72, "957990cada222089d2db5d8308328d41ea36ce68465e119c2b12208e7a7b9b39"),
+    (3, 3, 1): (109, "afe509ca2f9c4de52bf660afc464737c503404db7120a805be1c92d8f19679c4"),
+    (3, 3, 2): (601, "bef6a1a7df51fa5fa1cd1883f3fbb712b9b4e6abe682b152fd0a902628d3fc4d"),
+    (4, 2, 1): (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+class TestPrunedSearch:
+    # About 150,000 HNF candidates for the reference in all.
+    @pytest.mark.parametrize("n,max_volume", [(2, 300), (3, 120), (4, 30)])
+    def test_symmetric_grid_matches_full_separation(self, n, max_volume):
+        for params in symmetric_grid(n, max_volume):
+            assert search_perfect_lattices(params) == tilings_by_separation(params), params
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            BallParams(2, 1, 3, 0),
+            BallParams(2, 2, 2, 0),
+            BallParams(3, 1, 2, 0),
+            BallParams(3, 2, 1, 0),
+            BallParams(4, 1, 3, 0),
+            BallParams(2, 1, 3, 1),
+            BallParams(2, 2, 3, 1),
+            BallParams(3, 1, 3, 1),
+            BallParams(3, 2, 2, 1),
+            BallParams(4, 1, 2, 1),
+            BallParams(3, 0, 2, 1),
+            BallParams(4, 0, 3, 0),
+            BallParams(3, 3, 2, 0),
+            BallParams(3, 3, 2, 1),
+            BallParams(4, 4, 1, 0),
+        ],
+        ids=str,
+    )
+    def test_asymmetric_balls_match_full_separation(self, params):
+        assert search_perfect_lattices(params) == tilings_by_separation(params)
+
+    @pytest.mark.parametrize("triple", sorted(SEARCH_GOLDENS), ids=str)
+    def test_goldens(self, triple):
+        assert digest(search_perfect_lattices(BallParams.symmetric(*triple))) == SEARCH_GOLDENS[triple]
+
+    def test_trailing_rows_prune_hopeless_candidates(self, monkeypatch):
+        checks = []
+        level_keys = lmlab.search._level_keys
+
+        def counted(*args):
+            checks.append(args[1])
+            return level_keys(*args)
+
+        monkeypatch.setattr(lmlab.search, "_level_keys", counted)
+        assert search_perfect_lattices(BallParams.symmetric(4, 1, 3)) == []
+        candidates = sum(1 for _ in enumerate_sublattices(4, 25))
+        assert candidates == 20306
+        assert checks and 10 * len(checks) < candidates
+        # Only d_3 = 25 leaves room for the 7 ball vectors on the last
+        # coordinate, and no partial basis survives to the top row.
+        assert checks.count(3) == 1 and 0 not in checks
+
+    def test_never_walks_the_sublattice_enumerator(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("enumerate_sublattices called")
+
+        monkeypatch.setattr(lmlab.search, "enumerate_sublattices", fail)
+        assert digest(search_perfect_lattices(BallParams.symmetric(4, 1, 2))) == SEARCH_GOLDENS[(4, 1, 2)]
 
 
 class TestVerifyWindowPacking:
